@@ -113,7 +113,7 @@ void FkEstimator::UpdatePrehashedWeighted(const PrehashedItem* data,
                                           std::size_t n, count_t weight) {
   sampled_length_ += n * weight;
   if (sketch_backend_) {
-    for (std::size_t i = 0; i < n; ++i) sketch_backend_->Update(data[i], weight);
+    sketch_backend_->UpdatePrehashed(data, n, weight);
   } else {
     for (std::size_t i = 0; i < n; ++i)
       exact_backend_->Update(data[i].item, weight);
@@ -124,8 +124,7 @@ void FkEstimator::UpdatePrehashedWeighted(PrehashedColumns cols, std::size_t n,
                                           count_t weight) {
   sampled_length_ += n * weight;
   if (sketch_backend_) {
-    for (std::size_t i = 0; i < n; ++i)
-      sketch_backend_->Update(cols.At(i), weight);
+    sketch_backend_->UpdatePrehashed(cols, n, weight);
   } else {
     for (std::size_t i = 0; i < n; ++i)
       exact_backend_->Update(cols.items[i], weight);

@@ -88,8 +88,8 @@ class FkEstimator {
   /// Weighted (sampled-ingest) forms: each element carries `weight` units,
   /// the unbiased round(1/p) correction for Bernoulli(p)-admitted
   /// survivors. Equivalent to replaying each element `weight` times
-  /// (level-set adds are linear); per-item depth routing keeps these
-  /// per-item loops.
+  /// (level-set adds are linear). The sketch backend takes the weight on
+  /// its column path; the exact backends loop per item.
   void UpdatePrehashedWeighted(const PrehashedItem* data, std::size_t n,
                                count_t weight);
   void UpdatePrehashedWeighted(PrehashedColumns cols, std::size_t n,

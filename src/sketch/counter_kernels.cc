@@ -123,6 +123,14 @@ constexpr KernelTable kScalarTable = {
 // AVX2 (4 x u64 lanes; 64-bit multiplies emulated with vpmuludq)
 // ---------------------------------------------------------------------------
 
+// Upper state: every vector kernel ends with an explicit vzeroupper before
+// its scalar tail. Callers are legacy-SSE code (no -mavx), and every SSE
+// instruction they run while the YMM/ZMM upper halves are dirty pays a
+// state-transition penalty. GCC inserts vzeroupper only when optimizing,
+// and even then not before a sibling call it emits as a bare jmp, which is
+// how the sign kernels hand off their tail; relying on it left Report()
+// 10x slower once the level sets called those kernels.
+
 #define SUBSTREAM_TGT_AVX2 __attribute__((target("avx2"), always_inline)) inline
 
 /// Low 64 bits of the lane-wise product a * b.
@@ -279,6 +287,7 @@ __attribute__((target("avx2"))) void BucketRowAvx2(const PrehashedItem* items,
                           MulHi64Avx2(mixed, w));
     }
   }
+  _mm256_zeroupper();  // see "Upper state" above
   BucketRowScalar(items + i, n - i, row_seed, width, out_idx + i);
 }
 
@@ -300,6 +309,7 @@ __attribute__((target("avx2"))) void SignRow4Avx2(const PrehashedItem* items,
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out_sign + i),
                         Hash2SignAvx2(acc));
   }
+  _mm256_zeroupper();  // see "Upper state" above
   SignRow4Scalar(items + i, n - i, c, out_sign + i);
 }
 
@@ -314,6 +324,7 @@ __attribute__((target("avx2"))) void BucketRowMaskAvx2(
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out_idx + i),
                         _mm256_and_si256(mixed, m));
   }
+  _mm256_zeroupper();  // see "Upper state" above
   BucketRowMaskScalar(items + i, n - i, row_seed, mask, out_idx + i);
 }
 
@@ -344,6 +355,7 @@ __attribute__((target("avx2"))) void BucketRowColsAvx2(
                           MulHi64Avx2(mixed, w));
     }
   }
+  _mm256_zeroupper();  // see "Upper state" above
   BucketRowColsScalar(hashes + i, n - i, row_seed, width, out_idx + i);
 }
 
@@ -365,6 +377,7 @@ __attribute__((target("avx2"))) void SignRow4ColsAvx2(
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out_sign + i),
                         Hash2SignAvx2(acc));
   }
+  _mm256_zeroupper();  // see "Upper state" above
   SignRow4ColsScalar(items + i, n - i, c, out_sign + i);
 }
 
@@ -381,6 +394,7 @@ __attribute__((target("avx2"))) void BucketRowMaskColsAvx2(
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out_idx + i),
                         _mm256_and_si256(mixed, m));
   }
+  _mm256_zeroupper();  // see "Upper state" above
   BucketRowMaskColsScalar(hashes + i, n - i, row_seed, mask, out_idx + i);
 }
 
@@ -522,6 +536,7 @@ __attribute__((target("avx512f,avx512dq"))) void BucketRowAvx512(
                           MulHi64Avx512(mixed, w));
     }
   }
+  _mm256_zeroupper();  // see "Upper state" above
   BucketRowScalar(items + i, n - i, row_seed, width, out_idx + i);
 }
 
@@ -542,6 +557,7 @@ __attribute__((target("avx512f,avx512dq"))) void SignRow4Avx512(
     _mm512_storeu_si512(reinterpret_cast<void*>(out_sign + i),
                         Hash2SignAvx512(acc));
   }
+  _mm256_zeroupper();  // see "Upper state" above
   SignRow4Scalar(items + i, n - i, c, out_sign + i);
 }
 
@@ -556,6 +572,7 @@ __attribute__((target("avx512f,avx512dq"))) void BucketRowMaskAvx512(
     _mm512_storeu_si512(reinterpret_cast<void*>(out_idx + i),
                         _mm512_and_si512(mixed, m));
   }
+  _mm256_zeroupper();  // see "Upper state" above
   BucketRowMaskScalar(items + i, n - i, row_seed, mask, out_idx + i);
 }
 
@@ -642,6 +659,7 @@ IncRowPackedAvx512(void* cells, std::uint64_t row_base,
         _mm256_or_si256(cleared, _mm256_sllv_epi32(inc, sh32));
     _mm512_i64scatter_epi32(cells, widx, neww, 4);
   }
+  _mm256_zeroupper();  // see "Upper state" above
   for (; i < n; ++i) {
     IncOnePacked(cells, row_base + buckets[i], log2_cpw, cell_mask,
                  stop_field, cold, ctx);
@@ -672,6 +690,7 @@ __attribute__((target("avx512f,avx512dq"))) void BucketRowColsAvx512(
                           MulHi64Avx512(mixed, w));
     }
   }
+  _mm256_zeroupper();  // see "Upper state" above
   BucketRowColsScalar(hashes + i, n - i, row_seed, width, out_idx + i);
 }
 
@@ -693,6 +712,7 @@ __attribute__((target("avx512f,avx512dq"))) void SignRow4ColsAvx512(
     _mm512_storeu_si512(reinterpret_cast<void*>(out_sign + i),
                         Hash2SignAvx512(acc));
   }
+  _mm256_zeroupper();  // see "Upper state" above
   SignRow4ColsScalar(items + i, n - i, c, out_sign + i);
 }
 
@@ -708,6 +728,7 @@ __attribute__((target("avx512f,avx512dq"))) void BucketRowMaskColsAvx512(
     _mm512_storeu_si512(reinterpret_cast<void*>(out_idx + i),
                         _mm512_and_si512(mixed, m));
   }
+  _mm256_zeroupper();  // see "Upper state" above
   BucketRowMaskColsScalar(hashes + i, n - i, row_seed, mask, out_idx + i);
 }
 

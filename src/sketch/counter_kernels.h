@@ -44,6 +44,11 @@
 /// passes amortize the same stores across 64 items and double-buffer past
 /// the forwarding window.
 ///
+/// Every kernel returns with the AVX upper register state clean: callers
+/// are compiled without -mavx, and their legacy-SSE double math would pay
+/// a transition penalty per instruction otherwise (kernel_upper_state_test
+/// checks XINUSE after each kernel at every level).
+///
 /// Dispatch level resolution, in priority order:
 ///  1. kernels::SetActive(isa) — tests and benches flip levels in-process.
 ///  2. SKETCH_SIMD environment variable (scalar | avx2 | avx512), checked

@@ -96,24 +96,30 @@ class IndykWoodruffEstimator {
   /// CountSketch adds are linear, exact maps add `count`, candidate
   /// re-estimation sees the final estimate). This is the sampled-ingest
   /// (NitroSketch-mode) entry: survivors of Bernoulli(p) admission arrive
-  /// with the unbiased correction weight round(1/p).
+  /// with the unbiased correction weight round(1/p). This per-item path is
+  /// the reference the column path below is pinned against.
   void Update(const PrehashedItem& ph, count_t count);
 
-  /// Feeds `n` contiguous elements (per-item depth routing and candidate
-  /// tracking keep this a per-item loop, each item prehashed once).
-  void UpdateBatch(const item_t* data, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) Update(MakePrehashed(data[i]));
-  }
+  /// Feeds `n` contiguous elements through the column path, each item
+  /// prehashed once.
+  void UpdateBatch(const item_t* data, std::size_t n);
 
-  /// Feeds `n` already-prehashed elements.
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) Update(data[i]);
-  }
+  /// AoS form: deinterleaves into column chunks for the column path.
+  void UpdatePrehashed(const PrehashedItem* data, std::size_t n,
+                       count_t count = 1);
 
-  /// SoA form: per-item depth routing keeps this a per-item loop.
-  void UpdatePrehashed(PrehashedColumns cols, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) Update(cols.At(i));
-  }
+  /// Column ingest, each item carrying `count` units; the resulting state
+  /// (counters, row norms, exact maps, candidate pools) is byte-identical
+  /// to n per-item Update(cols.At(i), count) calls. Per chunk of up to
+  /// kPrehashChunkItems items the depth column is computed once and
+  /// stable-filtered into nested per-depth sub-columns (depth t holds the
+  /// items of depth >= t, in stream order); each depth then runs one
+  /// column CountSketch::UpdateAndEstimate and replays the exact-map adds
+  /// and candidate tracking in stream order from the per-item estimates it
+  /// returns. Depth slots share no state, so the depth-major order inside
+  /// a chunk is unobservable.
+  void UpdatePrehashed(PrehashedColumns cols, std::size_t n,
+                       count_t count = 1);
 
   /// Clears all per-depth sketches, candidate pools and exact maps;
   /// parameters, eta and hash functions are kept.
@@ -188,6 +194,13 @@ class IndykWoodruffEstimator {
   count_t total_ = 0;
 
   int DepthOf(item_t item) const;
+  /// One chunk (n <= kPrehashChunkItems) of the column path.
+  void UpdateChunk(PrehashedColumns cols, std::size_t n, count_t count);
+  /// The per-depth step after the sketch add: exact-map add, then
+  /// candidate tracking against 0.5 * heavy_factor * f2 / cs_width, where
+  /// `estimate` and `f2` are the sketch's post-add readings.
+  void RecordAdd(DepthSlot& slot, item_t item, count_t count, double estimate,
+                 double f2);
   void TrackCandidate(DepthSlot& slot, item_t item, double estimate);
   /// Representative frequency of a level given its lower boundary.
   double LevelMidValue(double lower_boundary) const;

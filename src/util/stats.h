@@ -34,10 +34,11 @@ class RunningStats {
 /// Median of a sample (copies + nth_element; callers pass small vectors).
 double Median(std::vector<double> values);
 
-/// Median computed in place over `values[0..n)` — reorders the buffer.
+/// Median computed in place over `values[0..n)` — may reorder the buffer.
 /// Same order statistics as Median() (average of the two middle elements
 /// for even n), but allocation-free: the sketch readout hot paths call it
-/// per item with stack buffers.
+/// per item with stack buffers. n = 5 and n = 7 (the sketch row counts)
+/// run a branch-free min/max selection network; other n use nth_element.
 double MedianInPlace(double* values, std::size_t n);
 
 /// q-quantile in [0,1] using linear interpolation between order statistics.

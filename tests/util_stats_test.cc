@@ -1,5 +1,8 @@
 #include "util/stats.h"
 
+#include <algorithm>
+#include <iterator>
+#include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,6 +34,30 @@ TEST(MedianTest, OddAndEven) {
   EXPECT_DOUBLE_EQ(Median({3.0, 1.0, 2.0}), 2.0);
   EXPECT_DOUBLE_EQ(Median({4.0, 1.0, 3.0, 2.0}), 2.5);
   EXPECT_DOUBLE_EQ(Median({7.0}), 7.0);
+}
+
+TEST(MedianTest, InPlaceMatchesSortedMiddle) {
+  // n = 5 and 7 take the selection network, the rest nth_element; all must
+  // agree with a full sort. A tiny value pool forces heavy duplicates, and
+  // both signed zeros appear so network ties between -0.0 and +0.0 occur.
+  const double pool[] = {-3.0, -1.0, -0.0, 0.0, 0.0, 1.0, 1.0, 2.5, 1e300};
+  std::mt19937_64 rng(20261017);
+  std::uniform_real_distribution<double> wide(-1e6, 1e6);
+  for (std::size_t n = 1; n <= 9; ++n) {
+    for (int trial = 0; trial < 5000; ++trial) {
+      std::vector<double> values(n);
+      for (double& v : values) {
+        v = (rng() % 4 == 0) ? wide(rng) : pool[rng() % std::size(pool)];
+      }
+      std::vector<double> sorted = values;
+      std::sort(sorted.begin(), sorted.end());
+      const double want = n % 2 == 1
+                              ? sorted[n / 2]
+                              : 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]);
+      ASSERT_EQ(MedianInPlace(values.data(), n), want)
+          << "n=" << n << " trial=" << trial;
+    }
+  }
 }
 
 TEST(QuantileTest, Extremes) {
