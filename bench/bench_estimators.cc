@@ -10,6 +10,7 @@
 #include "core/f0_estimator.h"
 #include "core/fk_estimator.h"
 #include "core/heavy_hitters.h"
+#include "sketch/sketch.h"
 #include "stream/generators.h"
 
 namespace substream {
@@ -60,7 +61,7 @@ void BM_FkUpdateBatchSketch(benchmark::State& state) {
   FkEstimator est(SketchFkParams(static_cast<int>(state.range(0))), 5);
   Stream s = BenchStream(1 << 14);
   for (auto _ : state) {
-    est.UpdateBatch(s.data(), s.size());
+    FeedItems(est, s.data(), s.size());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(s.size()));
@@ -113,7 +114,7 @@ void BM_F0UpdateBatch(benchmark::State& state) {
   F0Estimator est(params, 11);
   Stream s = BenchStream(1 << 14);
   for (auto _ : state) {
-    est.UpdateBatch(s.data(), s.size());
+    FeedItems(est, s.data(), s.size());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(s.size()));

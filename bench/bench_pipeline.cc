@@ -1,11 +1,8 @@
 /// One-hash-per-item pipeline benchmark: items/sec for the three ingest
-/// paths — scalar Update, UpdateBatch (chunked prehash inside), and a
-/// caller-prehashed column through UpdatePrehashed — per summary class and
-/// for the full Monitor, over the same Zipf workload. Also measures
-/// pre-refactor reference kernels (per-row polynomial hash + `%` bucket
-/// selection, exactly the historical CountMin/CountSketch inner loops) so
-/// one run shows the one-hash-per-item gain without needing a checkout of
-/// the old code.
+/// paths — scalar Update, raw items in batches (chunked prehash inside:
+/// Monitor::UpdateBatch, FeedItems for a bare sketch), and caller-prehashed
+/// item/hash columns through UpdatePrehashed — per summary class and for
+/// the full Monitor, over the same Zipf workload.
 ///
 ///   ./bench_pipeline [items] [repeats]
 ///
@@ -20,9 +17,10 @@
 /// Health()-bound and empirically measured F2 epsilon on every row.
 ///
 /// One JSON object per line on stdout; CI redirects the output into
-/// BENCH_ingest.json and uploads it as an artifact, so the speedup
-/// trajectory is comparable across commits. Every row carries the dispatch
-/// level it ran under plus compiler/build tags:
+/// BENCH_ingest.json, validates it with bench/check_bench.py and uploads it
+/// as an artifact, so the speedup trajectory is comparable across commits.
+/// Every row carries the dispatch level it ran under plus compiler/build
+/// tags:
 ///   {"bench":"pipeline","target":"monitor","mode":"prehashed",...,
 ///    "isa":"avx512","compiler":"gcc-12.2","build":"release"}
 
@@ -43,6 +41,7 @@
 #include "sketch/countsketch.h"
 #include "sketch/hyperloglog.h"
 #include "sketch/kmv.h"
+#include "sketch/sketch.h"
 #include "stream/exact_stats.h"
 #include "stream/generators.h"
 #include "util/hash.h"
@@ -62,63 +61,6 @@ MonitorConfig BenchConfig() {
   return config;
 }
 
-/// Pre-refactor CountMin inner loop: one pairwise polynomial hash and one
-/// `%` per row per item (the seed path this PR replaced).
-struct PolyhashCountMinReference {
-  int depth;
-  std::uint64_t width;
-  std::vector<std::vector<count_t>> rows;
-  std::vector<PolynomialHash> hashes;
-
-  PolyhashCountMinReference(int d, std::uint64_t w, std::uint64_t seed)
-      : depth(d), width(w) {
-    rows.assign(static_cast<std::size_t>(d), std::vector<count_t>(w, 0));
-    for (int r = 0; r < d; ++r) {
-      hashes.emplace_back(2, DeriveSeed(seed, static_cast<std::uint64_t>(r)));
-    }
-  }
-
-  void Update(item_t item) {
-    for (int r = 0; r < depth; ++r) {
-      ++rows[static_cast<std::size_t>(r)]
-            [hashes[static_cast<std::size_t>(r)].Hash(item) % width];
-    }
-  }
-};
-
-/// Pre-refactor CountSketch inner loop: polynomial bucket + polynomial
-/// sign per row per item.
-struct PolyhashCountSketchReference {
-  int depth;
-  std::uint64_t width;
-  std::vector<std::vector<std::int64_t>> rows;
-  std::vector<double> sumsq;
-  std::vector<PolynomialHash> buckets;
-  std::vector<PolynomialHash> signs;
-
-  PolyhashCountSketchReference(int d, std::uint64_t w, std::uint64_t seed)
-      : depth(d), width(w) {
-    rows.assign(static_cast<std::size_t>(d), std::vector<std::int64_t>(w, 0));
-    sumsq.assign(static_cast<std::size_t>(d), 0.0);
-    for (int r = 0; r < d; ++r) {
-      buckets.emplace_back(
-          2, DeriveSeed(seed, 2 * static_cast<std::uint64_t>(r)));
-      signs.emplace_back(
-          4, DeriveSeed(seed, 2 * static_cast<std::uint64_t>(r) + 1));
-    }
-  }
-
-  void Update(item_t item) {
-    for (int r = 0; r < depth; ++r) {
-      const auto rr = static_cast<std::size_t>(r);
-      std::int64_t& cell = rows[rr][buckets[rr].Hash(item) % width];
-      const std::int64_t delta = signs[rr].Sign(item);
-      sumsq[rr] += static_cast<double>(2 * cell * delta + 1);
-      cell += delta;
-    }
-  }
-};
-
 /// Cell-width ladder row: like EmitRow but tagged with the physical cell
 /// width, and its speedup denominator is the same-ISA 64-bit-cell rate so
 /// the row reads directly as "narrow cells buy this much at this level".
@@ -130,22 +72,6 @@ void EmitCellRow(const char* target, const char* mode, std::size_t items,
       "\"speedup_vs_64bit\":%.3f,%s}\n",
       target, mode, cell_bits, items, items_per_sec,
       wide_baseline > 0.0 ? items_per_sec / wide_baseline : 0.0,
-      bench::RowTags(simd::Name(kernels::ActiveIsa())).c_str());
-}
-
-/// Batch-layout A/B row: the same dense-geometry ingest kernel fed the
-/// interleaved PrehashedItem array ("aos") vs the item/hash column pair
-/// ("soa"). The speedup denominator is the same-ISA same-cell-width AoS
-/// rate, so a "soa" row reads directly as "columnar batches buy this much
-/// at this level".
-void EmitLayoutRow(const char* target, const char* layout, std::size_t items,
-                   double items_per_sec, double aos_baseline, int cell_bits) {
-  std::printf(
-      "{\"bench\":\"pipeline\",\"target\":\"%s\",\"mode\":\"batch_layout\","
-      "\"layout\":\"%s\",\"cell_bits\":%d,\"items\":%zu,"
-      "\"items_per_sec\":%.0f,\"speedup_vs_aos\":%.3f,%s}\n",
-      target, layout, cell_bits, items, items_per_sec,
-      aos_baseline > 0.0 ? items_per_sec / aos_baseline : 0.0,
       bench::RowTags(simd::Name(kernels::ActiveIsa())).c_str());
 }
 
@@ -180,28 +106,34 @@ double BestRate(int repeats, std::size_t items, Make make, Run run) {
   return best;
 }
 
-/// Benchmarks one summary across scalar / batch / prehashed, emits the
-/// three rows and returns the scalar rate so reference kernels can report
-/// their speedup against the same baseline. `make` constructs a fresh
-/// instance per timing run.
+/// The "batch" row's entry point: raw items in, chunked prehash inside.
+template <typename S>
+void FeedBatch(S& summary, const Stream& s) {
+  FeedItems(summary, s.data(), s.size());
+}
+void FeedBatch(Monitor& monitor, const Stream& s) {
+  monitor.UpdateBatch(s.data(), s.size());
+}
+
+/// Benchmarks one summary across scalar / batch / prehashed and emits the
+/// three rows. `make` constructs a fresh instance per timing run; `cols`
+/// holds the item/hash columns of `s`.
 template <typename Make>
-double BenchSummary(const char* target, int repeats, const Stream& s,
-                    const std::vector<PrehashedItem>& column, Make make) {
+void BenchSummary(const char* target, int repeats, const Stream& s,
+                  PrehashedColumns cols, Make make) {
   const double scalar = BestRate(repeats, s.size(), make, [&](auto& sk) {
     for (item_t a : s) sk.Update(a);
   });
   EmitRow(target, "scalar", s.size(), scalar, scalar);
 
-  const double batch = BestRate(repeats, s.size(), make, [&](auto& sk) {
-    sk.UpdateBatch(s.data(), s.size());
-  });
+  const double batch = BestRate(repeats, s.size(), make,
+                                [&](auto& sk) { FeedBatch(sk, s); });
   EmitRow(target, "batch", s.size(), batch, scalar);
 
   const double prehashed = BestRate(repeats, s.size(), make, [&](auto& sk) {
-    sk.UpdatePrehashed(column.data(), column.size());
+    sk.UpdatePrehashed(cols, s.size());
   });
   EmitRow(target, "prehashed", s.size(), prehashed, scalar);
-  return scalar;
 }
 
 }  // namespace
@@ -213,46 +145,17 @@ int main(int argc, char** argv) {
 
   ZipfGenerator generator(1 << 16, 1.1, 7);
   const Stream sampled = Materialize(generator, items);
-  std::vector<PrehashedItem> column(sampled.size());
-  PrehashColumn(sampled.data(), sampled.size(), column.data());
-  // The same prehashed input split into parallel columns (the ShardedMonitor
-  // batch layout), for the batch_layout A/B rows.
-  std::vector<std::uint64_t> item_col(sampled.size());
+  // The prehash column of the stream; the item column is the stream itself
+  // (the ShardedMonitor batch layout).
   std::vector<std::uint64_t> hash_col(sampled.size());
-  for (std::size_t i = 0; i < sampled.size(); ++i) {
-    item_col[i] = column[i].item;
-    hash_col[i] = column[i].hash;
-  }
+  PrehashColumnSoA(sampled.data(), sampled.size(), hash_col.data());
+  const PrehashedColumns cols{sampled.data(), hash_col.data()};
 
-  // --- Individual counter-table sketches vs their pre-refactor kernels.
-  // Reference rows share the target's scalar baseline, so their
-  // speedup_vs_scalar (< 1) exposes the one-hash-per-item gain directly.
-  double countmin_scalar = 0.0;
-  double countsketch_scalar = 0.0;
-  {
-    countmin_scalar =
-        BenchSummary("countmin", repeats, sampled, column,
-                     [] { return CountMinSketch(4, 4096, false, 3); });
-    const double poly = BestRate(
-        repeats, items, [] { return PolyhashCountMinReference(4, 4096, 3); },
-        [&](auto& ref) {
-          for (item_t a : sampled) ref.Update(a);
-        });
-    EmitRow("countmin", "polyhash_reference", items, poly, countmin_scalar);
-  }
-
-  {
-    countsketch_scalar =
-        BenchSummary("countsketch", repeats, sampled, column,
-                     [] { return CountSketch(5, 4096, 3); });
-    const double poly = BestRate(
-        repeats, items, [] { return PolyhashCountSketchReference(5, 4096, 3); },
-        [&](auto& ref) {
-          for (item_t a : sampled) ref.Update(a);
-        });
-    EmitRow("countsketch", "polyhash_reference", items, poly,
-            countsketch_scalar);
-  }
+  // --- Individual counter-table sketches.
+  BenchSummary("countmin", repeats, sampled, cols,
+               [] { return CountMinSketch(4, 4096, false, 3); });
+  BenchSummary("countsketch", repeats, sampled, cols,
+               [] { return CountSketch(5, 4096, 3); });
 
   // --- Per-ISA kernel ladder: the same hot loops re-measured with kernel
   // dispatch forced to every level this host supports. "kernel" rows are
@@ -271,20 +174,20 @@ int main(int argc, char** argv) {
     static std::int64_t raw_sgn[kRawBlock];
     const std::uint64_t sign_coeffs[4] = {123456789ULL, 2718281828ULL,
                                           31415926535ULL, 1414213562ULL};
-    const std::size_t raw_items = (column.size() / kRawBlock) * kRawBlock;
+    const std::size_t raw_items = (sampled.size() / kRawBlock) * kRawBlock;
     double bucket_row_scalar = 0.0;
     double sign_row4_scalar = 0.0;
     // Restored after the ladder: the sections above/below must honor the
     // entry-time level (which a SKETCH_SIMD override may have forced).
     const simd::Isa entry_isa = kernels::ActiveIsa();
     kernels::SetActive(simd::Isa::kScalar);
-    countmin_scalar = BestRate(
+    const double countmin_scalar = BestRate(
         repeats, items,
         [] { return CountMinSketch(4, 4096, false, 3); },
         [&](auto& sk) {
           for (item_t a : sampled) sk.Update(a);
         });
-    countsketch_scalar = BestRate(
+    const double countsketch_scalar = BestRate(
         repeats, items, [] { return CountSketch(5, 4096, 3); },
         [&](auto& sk) {
           for (item_t a : sampled) sk.Update(a);
@@ -294,12 +197,12 @@ int main(int argc, char** argv) {
       const double cm = BestRate(
           repeats, items, [] { return CounterTable<count_t>(4, 4096, 3); },
           [&](auto& table) {
-            table.AddPrehashed(column.data(), column.size());
+            table.AddPrehashed(hash_col.data(), hash_col.size());
           });
       EmitRow("countmin", "kernel", items, cm, countmin_scalar);
       const double cs = BestRate(
           repeats, items, [] { return CountSketch(5, 4096, 3); },
-          [&](auto& sk) { sk.UpdatePrehashed(column.data(), column.size()); });
+          [&](auto& sk) { sk.UpdatePrehashed(cols, sampled.size()); });
       EmitRow("countsketch", "kernel", items, cs, countsketch_scalar);
 
       // Cell-width ladder: the same CountMin ingest kernel at every
@@ -322,7 +225,7 @@ int main(int argc, char** argv) {
                                         /*pow2_width=*/true});
               },
               [&](auto& table) {
-                table.AddPrehashed(column.data(), column.size());
+                table.AddPrehashed(hash_col.data(), hash_col.size());
               });
           if (cw == CellWidth::k64) cells_wide = rate;
           EmitCellRow("countmin", "kernel_cells", items, rate, cells_wide,
@@ -330,58 +233,13 @@ int main(int argc, char** argv) {
         }
       }
 
-      // Batch layout A/B at the same dense geometry: interleaved
-      // PrehashedItem batches (the pre-columnar ring payload) vs the
-      // item/hash column pair ShardedMonitor now ships. Wide and narrow
-      // CountMin cells plus the two-column CountSketch ingest, per ISA.
-      {
-        for (CellWidth cw : {CellWidth::k64, CellWidth::k8}) {
-          const auto make_table = [cw] {
-            return CounterTable<count_t>(
-                4, std::uint64_t{1} << 16, 3,
-                CounterTableOptions{cw, OverflowPolicy::kSpill,
-                                    /*pow2_width=*/true});
-          };
-          const double aos = BestRate(repeats, items, make_table,
-                                      [&](auto& table) {
-                                        table.AddPrehashed(column.data(),
-                                                           column.size());
-                                      });
-          EmitLayoutRow("countmin", "aos", items, aos, aos, CellBits(cw));
-          const double soa = BestRate(repeats, items, make_table,
-                                      [&](auto& table) {
-                                        table.AddPrehashed(hash_col.data(),
-                                                           hash_col.size());
-                                      });
-          EmitLayoutRow("countmin", "soa", items, soa, aos, CellBits(cw));
-        }
-        const auto make_cs = [] {
-          return CountSketch(4, std::uint64_t{1} << 16, 3,
-                             CounterTableOptions{CellWidth::k64,
-                                                 OverflowPolicy::kSpill,
-                                                 /*pow2_width=*/true});
-        };
-        const double cs_aos = BestRate(
-            repeats, items, make_cs, [&](auto& sk) {
-              sk.UpdatePrehashed(column.data(), column.size());
-            });
-        EmitLayoutRow("countsketch", "aos", items, cs_aos, cs_aos, 64);
-        const double cs_soa = BestRate(
-            repeats, items, make_cs, [&](auto& sk) {
-              sk.UpdatePrehashed(
-                  PrehashedColumns{item_col.data(), hash_col.data()},
-                  item_col.size());
-            });
-        EmitLayoutRow("countsketch", "soa", items, cs_soa, cs_aos, 64);
-      }
-
       const kernels::KernelTable& kt = kernels::Dispatch();
       const double braw = BestRate(
           repeats, raw_items, [] { return 0; },
           [&](int&) {
             for (std::size_t b = 0; b < raw_items; b += kRawBlock) {
-              kt.bucket_row(column.data() + b, kRawBlock,
-                            0x9e3779b97f4a7c15ULL, 4096, raw_idx);
+              kt.bucket_row_cols(hash_col.data() + b, kRawBlock,
+                                 0x9e3779b97f4a7c15ULL, 4096, raw_idx);
             }
           });
       if (isa == simd::Isa::kScalar) bucket_row_scalar = braw;
@@ -390,8 +248,8 @@ int main(int argc, char** argv) {
           repeats, raw_items, [] { return 0; },
           [&](int&) {
             for (std::size_t b = 0; b < raw_items; b += kRawBlock) {
-              kt.sign_row4(column.data() + b, kRawBlock, sign_coeffs,
-                           raw_sgn);
+              kt.sign_row4_cols(sampled.data() + b, kRawBlock, sign_coeffs,
+                                raw_sgn);
             }
           });
       if (isa == simd::Isa::kScalar) sign_row4_scalar = sraw;
@@ -401,13 +259,13 @@ int main(int argc, char** argv) {
     kernels::SetActive(entry_isa);
   }
 
-  BenchSummary("hyperloglog", repeats, sampled, column,
+  BenchSummary("hyperloglog", repeats, sampled, cols,
                [] { return HyperLogLog(14, 3); });
-  BenchSummary("kmv", repeats, sampled, column,
+  BenchSummary("kmv", repeats, sampled, cols,
                [] { return KmvSketch(1024, 3); });
 
   // --- The full Monitor: the paper's many-estimators-one-pass facade.
-  BenchSummary("monitor", repeats, sampled, column,
+  BenchSummary("monitor", repeats, sampled, cols,
                [] { return Monitor(BenchConfig(), 3); });
 
   // --- Planner A/B: the accuracy-budget planner handed EXACTLY the bytes
@@ -492,7 +350,7 @@ int main(int argc, char** argv) {
 
   // --- Sampled ingest (NitroSketch mode): geometric-skip admission over
   // the raw stream, survivors prehashed in chunks and applied through
-  // Monitor::UpdatePrehashedWeighted with the unbiased weight round(1/p).
+  // Monitor::UpdatePrehashed with the unbiased weight round(1/p).
   // Rates are per ORIGINAL item — the producer-side view, where skipped
   // items pay only the skip countdown — so the p = 1/64 row reads directly
   // as the line-rate headroom overload shedding buys. Each row carries the
@@ -516,7 +374,7 @@ int main(int argc, char** argv) {
       const double p = 1.0 / static_cast<double>(weight);
       Rng rng(42);
       item_t survivors[kChunk];
-      PrehashedItem col[kChunk];
+      std::uint64_t hashes[kChunk];
       std::size_t fill = 0;
       std::uint64_t skip = weight == 1 ? 0 : rng.NextGeometric(p);
       for (item_t a : sampled) {
@@ -529,14 +387,16 @@ int main(int argc, char** argv) {
         }
         survivors[fill++] = a;
         if (fill == kChunk) {
-          PrehashColumn(survivors, fill, col);
-          monitor.UpdatePrehashedWeighted(col, fill, weight);
+          PrehashColumnSoA(survivors, fill, hashes);
+          monitor.UpdatePrehashed(PrehashedColumns{survivors, hashes}, fill,
+                                  weight);
           fill = 0;
         }
       }
       if (fill > 0) {
-        PrehashColumn(survivors, fill, col);
-        monitor.UpdatePrehashedWeighted(col, fill, weight);
+        PrehashColumnSoA(survivors, fill, hashes);
+        monitor.UpdatePrehashed(PrehashedColumns{survivors, hashes}, fill,
+                                weight);
       }
     };
 

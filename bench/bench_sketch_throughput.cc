@@ -3,12 +3,13 @@
 /// report ns/update (and bytes) for each substrate so the claim is
 /// checkable on real hardware.
 ///
-/// The *_Batch variants measure the UpdateBatch fast paths of the
-/// mergeable-summary contract (row-major loops with hoisted hash state) on
-/// the same workloads, and the Monitor/ShardedMonitor benchmarks measure
-/// end-to-end ingestion; `bench_ingest_scaling` emits the same comparison
-/// as JSON rows for trajectory tracking. Run with
-/// --benchmark_format=json for machine-readable output here too.
+/// The *_Batch variants measure the batched UpdatePrehashed paths of the
+/// mergeable-summary contract (row-major loops with hoisted hash state),
+/// fed raw items through FeedItems, on the same workloads, and the
+/// Monitor/ShardedMonitor benchmarks measure end-to-end ingestion;
+/// `bench_ingest_scaling` emits the same comparison as JSON rows for
+/// trajectory tracking. Run with --benchmark_format=json for
+/// machine-readable output here too.
 
 #include <benchmark/benchmark.h>
 
@@ -23,6 +24,7 @@
 #include "sketch/kmv.h"
 #include "sketch/level_sets.h"
 #include "sketch/misra_gries.h"
+#include "sketch/sketch.h"
 #include "sketch/space_saving.h"
 #include "stream/generators.h"
 #include "stream/samplers.h"
@@ -104,7 +106,7 @@ void BM_CountMinUpdateBatch(benchmark::State& state) {
   CountMinSketch cm(static_cast<int>(state.range(0)), 4096, false, 9);
   Stream s = BenchStream(1 << 14);
   for (auto _ : state) {
-    cm.UpdateBatch(s.data(), s.size());
+    FeedItems(cm, s.data(), s.size());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(s.size()));
@@ -115,7 +117,7 @@ void BM_CountSketchUpdateBatch(benchmark::State& state) {
   CountSketch cs(static_cast<int>(state.range(0)), 4096, 11);
   Stream s = BenchStream(1 << 14);
   for (auto _ : state) {
-    cs.UpdateBatch(s.data(), s.size());
+    FeedItems(cs, s.data(), s.size());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(s.size()));
@@ -127,7 +129,7 @@ void BM_AmsF2UpdateBatch(benchmark::State& state) {
       5, static_cast<std::size_t>(state.range(0)), 15);
   Stream s = BenchStream(1 << 14);
   for (auto _ : state) {
-    ams.UpdateBatch(s.data(), s.size());
+    FeedItems(ams, s.data(), s.size());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(s.size()));

@@ -8,11 +8,12 @@
 ///
 /// Every estimator here follows the mergeable-summary contract
 /// (sketch/sketch.h): besides the item-at-a-time Update used below for the
-/// sampling loop, each supports UpdateBatch(data, n) for contiguous runs,
-/// Merge(other) for combining same-seeded summaries built on different
-/// machines or threads (see examples/distributed_monitors.cpp and
-/// ShardedMonitor in core/sharded_monitor.h), and Reset() for reusing a
-/// summary across measurement windows. The Monitor facade at the end shows
+/// sampling loop, each supports UpdatePrehashed(cols, n) for prehashed
+/// item/hash column batches, Merge(other) for combining same-seeded
+/// summaries built on different machines or threads (see
+/// examples/distributed_monitors.cpp and ShardedMonitor in
+/// core/sharded_monitor.h), and Reset() for reusing a summary across
+/// measurement windows. The Monitor facade at the end shows
 /// the batched one-object version of the same pipeline.
 ///
 ///   ./quickstart [p] [n]
@@ -105,8 +106,8 @@ int main(int argc, char** argv) {
               entropy.SpaceBytes() / 1024, heavy.SpaceBytes() / 1024);
 
   // 5. The same pipeline through the Monitor facade, fed in batches: one
-  //    UpdateBatch call per buffer of sampled elements fans out to every
-  //    enabled estimator's tight batch loop.
+  //    UpdateBatch call per buffer of sampled elements prehashes it once
+  //    and fans the columns out to every enabled estimator's batch loop.
   MonitorConfig monitor_config;
   monitor_config.p = p;
   monitor_config.universe = universe;

@@ -44,45 +44,17 @@ void EntropyEstimator::Update(item_t item) {
   }
 }
 
-void EntropyEstimator::UpdateBatch(const item_t* data, std::size_t n) {
-  sampled_length_ += n;
-  if (mle_) {
-    mle_->UpdateBatch(data, n);
-  } else {
-    ams_->UpdateBatch(data, n);
+void EntropyEstimator::UpdatePrehashed(PrehashedColumns cols, std::size_t n,
+                                       count_t weight) {
+  if (weight == 1) {
+    sampled_length_ += n;
+    if (mle_) {
+      mle_->UpdatePrehashed(cols, n);
+    } else {
+      ams_->UpdatePrehashed(cols, n);
+    }
+    return;
   }
-}
-
-void EntropyEstimator::UpdatePrehashed(const PrehashedItem* data,
-                                       std::size_t n) {
-  sampled_length_ += n;
-  if (mle_) {
-    mle_->UpdatePrehashed(data, n);
-  } else {
-    ams_->UpdatePrehashed(data, n);
-  }
-}
-
-void EntropyEstimator::UpdatePrehashed(PrehashedColumns cols, std::size_t n) {
-  sampled_length_ += n;
-  if (mle_) {
-    mle_->UpdatePrehashed(cols, n);
-  } else {
-    ams_->UpdatePrehashed(cols, n);
-  }
-}
-
-void EntropyEstimator::UpdatePrehashedWeighted(const PrehashedItem* data,
-                                               std::size_t n, count_t weight) {
-  SUBSTREAM_CHECK_MSG(static_cast<bool>(mle_),
-                      "weighted (sampled) updates are unsupported for the "
-                      "AMS entropy backend");
-  sampled_length_ += n * weight;
-  for (std::size_t i = 0; i < n; ++i) mle_->Update(data[i].item, weight);
-}
-
-void EntropyEstimator::UpdatePrehashedWeighted(PrehashedColumns cols,
-                                               std::size_t n, count_t weight) {
   SUBSTREAM_CHECK_MSG(static_cast<bool>(mle_),
                       "weighted (sampled) updates are unsupported for the "
                       "AMS entropy backend");

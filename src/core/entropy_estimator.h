@@ -65,25 +65,15 @@ class EntropyEstimator {
   /// Feeds one element of the sampled stream L.
   void Update(item_t item);
 
-  /// Feeds `n` contiguous elements of L.
-  void UpdateBatch(const item_t* data, std::size_t n);
-
   /// Feeds `n` already-prehashed elements of L (the Monitor pipeline's
   /// columnar entry point; the entropy backends replay scalar updates, so
-  /// all three ingest paths stay bit-identical).
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n);
-
-  /// SoA form: fans the columns to the configured backend.
-  void UpdatePrehashed(PrehashedColumns cols, std::size_t n);
-
-  /// Weighted (sampled-ingest) forms: each element carries `weight` units.
-  /// MLE-backend only — the AMS reservoir samples stream *positions* and
-  /// cannot absorb weighted occurrences (same restriction as MergeScaled);
-  /// Monitor always runs the MLE backend.
-  void UpdatePrehashedWeighted(const PrehashedItem* data, std::size_t n,
-                               count_t weight);
-  void UpdatePrehashedWeighted(PrehashedColumns cols, std::size_t n,
-                               count_t weight);
+  /// the per-item and column paths stay bit-identical), each carrying
+  /// `weight` units. Weights above 1 (sampled ingest) are MLE-backend only
+  /// — the AMS reservoir samples stream *positions* and cannot absorb
+  /// weighted occurrences (same restriction as MergeScaled); Monitor
+  /// always runs the MLE backend.
+  void UpdatePrehashed(PrehashedColumns cols, std::size_t n,
+                       count_t weight = 1);
 
   /// Merges an estimator built with the same parameters and seed. The MLE
   /// backends merge exactly; the AMS sketch merges via the distributed-

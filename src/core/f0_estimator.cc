@@ -48,28 +48,6 @@ void F0Estimator::Update(item_t item) {
   }
 }
 
-void F0Estimator::UpdateBatch(const item_t* data, std::size_t n) {
-  sampled_length_ += n;
-  if (kmv_) {
-    kmv_->UpdateBatch(data, n);
-  } else if (hll_) {
-    hll_->UpdateBatch(data, n);
-  } else {
-    exact_->items.insert(data, data + n);
-  }
-}
-
-void F0Estimator::UpdatePrehashed(const PrehashedItem* data, std::size_t n) {
-  sampled_length_ += n;
-  if (kmv_) {
-    kmv_->UpdatePrehashed(data, n);
-  } else if (hll_) {
-    hll_->UpdatePrehashed(data, n);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) exact_->items.insert(data[i].item);
-  }
-}
-
 void F0Estimator::UpdatePrehashed(PrehashedColumns cols, std::size_t n) {
   sampled_length_ += n;
   if (kmv_) {

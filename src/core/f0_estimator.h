@@ -51,16 +51,10 @@ class F0Estimator {
   /// Feeds one element of the sampled stream L.
   void Update(item_t item);
 
-  /// Feeds `n` contiguous elements of L.
-  void UpdateBatch(const item_t* data, std::size_t n);
-
   /// Feeds `n` already-prehashed elements of L (the Monitor pipeline's
-  /// columnar entry point; the backend sketches consume the shared prehash
-  /// directly).
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n);
-
-  /// SoA form: the backend consumes the column it needs (KMV/HLL read the
-  /// hash column; the exact backend bulk-inserts the item column).
+  /// columnar entry point). The backend consumes the column it needs:
+  /// KMV/HLL read the hash column, the exact backend bulk-inserts the item
+  /// column.
   void UpdatePrehashed(PrehashedColumns cols, std::size_t n);
 
   /// Merges an estimator built with the same parameters and seed (backend

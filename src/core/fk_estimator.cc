@@ -82,49 +82,13 @@ void FkEstimator::Update(item_t item) {
   }
 }
 
-void FkEstimator::UpdateBatch(const item_t* data, std::size_t n) {
-  sampled_length_ += n;
-  if (sketch_backend_) {
-    sketch_backend_->UpdateBatch(data, n);
-  } else {
-    exact_backend_->UpdateBatch(data, n);
-  }
-}
-
-void FkEstimator::UpdatePrehashed(const PrehashedItem* data, std::size_t n) {
-  sampled_length_ += n;
-  if (sketch_backend_) {
-    sketch_backend_->UpdatePrehashed(data, n);
-  } else {
-    exact_backend_->UpdatePrehashed(data, n);
-  }
-}
-
-void FkEstimator::UpdatePrehashed(PrehashedColumns cols, std::size_t n) {
-  sampled_length_ += n;
-  if (sketch_backend_) {
-    sketch_backend_->UpdatePrehashed(cols, n);
-  } else {
-    exact_backend_->UpdatePrehashed(cols, n);
-  }
-}
-
-void FkEstimator::UpdatePrehashedWeighted(const PrehashedItem* data,
-                                          std::size_t n, count_t weight) {
-  sampled_length_ += n * weight;
-  if (sketch_backend_) {
-    sketch_backend_->UpdatePrehashed(data, n, weight);
-  } else {
-    for (std::size_t i = 0; i < n; ++i)
-      exact_backend_->Update(data[i].item, weight);
-  }
-}
-
-void FkEstimator::UpdatePrehashedWeighted(PrehashedColumns cols, std::size_t n,
-                                          count_t weight) {
+void FkEstimator::UpdatePrehashed(PrehashedColumns cols, std::size_t n,
+                                  count_t weight) {
   sampled_length_ += n * weight;
   if (sketch_backend_) {
     sketch_backend_->UpdatePrehashed(cols, n, weight);
+  } else if (weight == 1) {
+    exact_backend_->UpdatePrehashed(cols, n);
   } else {
     for (std::size_t i = 0; i < n; ++i)
       exact_backend_->Update(cols.items[i], weight);

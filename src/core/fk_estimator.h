@@ -74,26 +74,16 @@ class FkEstimator {
   /// Feeds one element of the *sampled* stream L.
   void Update(item_t item);
 
-  /// Feeds `n` contiguous elements of L.
-  void UpdateBatch(const item_t* data, std::size_t n);
-
   /// Feeds `n` already-prehashed elements of L (the Monitor pipeline's
   /// columnar entry point; the level-set CountSketches consume the shared
-  /// prehash directly).
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n);
-
-  /// SoA form: fans the columns to the configured backend.
-  void UpdatePrehashed(PrehashedColumns cols, std::size_t n);
-
-  /// Weighted (sampled-ingest) forms: each element carries `weight` units,
-  /// the unbiased round(1/p) correction for Bernoulli(p)-admitted
-  /// survivors. Equivalent to replaying each element `weight` times
-  /// (level-set adds are linear). The sketch backend takes the weight on
-  /// its column path; the exact backends loop per item.
-  void UpdatePrehashedWeighted(const PrehashedItem* data, std::size_t n,
-                               count_t weight);
-  void UpdatePrehashedWeighted(PrehashedColumns cols, std::size_t n,
-                               count_t weight);
+  /// prehash directly), each carrying `weight` units. Weights above 1 are
+  /// the sampled-ingest form: the unbiased round(1/p) correction for
+  /// Bernoulli(p)-admitted survivors, equivalent to replaying each element
+  /// `weight` times (level-set adds are linear). The sketch backend takes
+  /// the weight on its column path; the exact backend loops per item for
+  /// weight > 1.
+  void UpdatePrehashed(PrehashedColumns cols, std::size_t n,
+                       count_t weight = 1);
 
   /// Merges an estimator built with the same parameters and seed (the
   /// level-set backends merge under their own geometry/seed preconditions).

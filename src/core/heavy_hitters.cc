@@ -69,34 +69,13 @@ void F1HeavyHitterEstimator::Update(item_t item) {
   tracker_.Update(item);
 }
 
-void F1HeavyHitterEstimator::UpdateBatch(const item_t* data, std::size_t n) {
-  sampled_length_ += n;
-  tracker_.UpdateBatch(data, n);
-}
-
-void F1HeavyHitterEstimator::UpdatePrehashed(const PrehashedItem* data,
-                                             std::size_t n) {
-  sampled_length_ += n;
-  tracker_.UpdatePrehashed(data, n);
-}
-
 void F1HeavyHitterEstimator::UpdatePrehashed(PrehashedColumns cols,
-                                             std::size_t n) {
-  sampled_length_ += n;
-  tracker_.UpdatePrehashed(cols, n);
-}
-
-void F1HeavyHitterEstimator::UpdatePrehashedWeighted(const PrehashedItem* data,
-                                                     std::size_t n,
-                                                     count_t weight) {
+                                             std::size_t n, count_t weight) {
   sampled_length_ += n * weight;
-  for (std::size_t i = 0; i < n; ++i) tracker_.Update(data[i], weight);
-}
-
-void F1HeavyHitterEstimator::UpdatePrehashedWeighted(PrehashedColumns cols,
-                                                     std::size_t n,
-                                                     count_t weight) {
-  sampled_length_ += n * weight;
+  if (weight == 1) {
+    tracker_.UpdatePrehashed(cols, n);
+    return;
+  }
   for (std::size_t i = 0; i < n; ++i) tracker_.Update(cols.At(i), weight);
 }
 
@@ -210,34 +189,13 @@ void F2HeavyHitterEstimator::Update(item_t item) {
   tracker_.Update(item);
 }
 
-void F2HeavyHitterEstimator::UpdateBatch(const item_t* data, std::size_t n) {
-  sampled_length_ += n;
-  tracker_.UpdateBatch(data, n);
-}
-
-void F2HeavyHitterEstimator::UpdatePrehashed(const PrehashedItem* data,
-                                             std::size_t n) {
-  sampled_length_ += n;
-  tracker_.UpdatePrehashed(data, n);
-}
-
 void F2HeavyHitterEstimator::UpdatePrehashed(PrehashedColumns cols,
-                                             std::size_t n) {
-  sampled_length_ += n;
-  tracker_.UpdatePrehashed(cols, n);
-}
-
-void F2HeavyHitterEstimator::UpdatePrehashedWeighted(const PrehashedItem* data,
-                                                     std::size_t n,
-                                                     count_t weight) {
+                                             std::size_t n, count_t weight) {
   sampled_length_ += n * weight;
-  for (std::size_t i = 0; i < n; ++i) tracker_.Update(data[i], weight);
-}
-
-void F2HeavyHitterEstimator::UpdatePrehashedWeighted(PrehashedColumns cols,
-                                                     std::size_t n,
-                                                     count_t weight) {
-  sampled_length_ += n * weight;
+  if (weight == 1) {
+    tracker_.UpdatePrehashed(cols, n);
+    return;
+  }
   for (std::size_t i = 0; i < n; ++i) tracker_.Update(cols.At(i), weight);
 }
 

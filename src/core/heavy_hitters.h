@@ -51,22 +51,12 @@ class F1HeavyHitterEstimator {
   /// Feeds one element of the sampled stream L.
   void Update(item_t item);
 
-  /// Feeds `n` contiguous elements of L.
-  void UpdateBatch(const item_t* data, std::size_t n);
-
   /// Feeds `n` already-prehashed elements of L (sketch adds and candidate
-  /// re-estimates share the caller's prehash).
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n);
-
-  /// SoA form: per-item candidate tracking, pairs rebuilt from the columns.
-  void UpdatePrehashed(PrehashedColumns cols, std::size_t n);
-
-  /// Weighted (sampled-ingest) forms: each element carries `weight` units
-  /// through the CountMin tracker's weighted-add path.
-  void UpdatePrehashedWeighted(const PrehashedItem* data, std::size_t n,
-                               count_t weight);
-  void UpdatePrehashedWeighted(PrehashedColumns cols, std::size_t n,
-                               count_t weight);
+  /// re-estimates share the caller's prehash), each carrying `weight`
+  /// units. Weight 1 runs the CountMin tracker's batched path; weights above
+  /// 1 (sampled ingest) go item by item through its weighted-add path.
+  void UpdatePrehashed(PrehashedColumns cols, std::size_t n,
+                       count_t weight = 1);
 
   /// Merges an estimator built with the same parameters and seed.
   void Merge(const F1HeavyHitterEstimator& other);
@@ -121,22 +111,12 @@ class F2HeavyHitterEstimator {
 
   void Update(item_t item);
 
-  /// Feeds `n` contiguous elements of L.
-  void UpdateBatch(const item_t* data, std::size_t n);
-
   /// Feeds `n` already-prehashed elements of L (sketch adds and candidate
-  /// re-estimates share the caller's prehash).
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n);
-
-  /// SoA form: per-item candidate tracking, pairs rebuilt from the columns.
-  void UpdatePrehashed(PrehashedColumns cols, std::size_t n);
-
-  /// Weighted (sampled-ingest) forms: each element carries `weight` units
-  /// through the CountSketch tracker's weighted-add path.
-  void UpdatePrehashedWeighted(const PrehashedItem* data, std::size_t n,
-                               count_t weight);
-  void UpdatePrehashedWeighted(PrehashedColumns cols, std::size_t n,
-                               count_t weight);
+  /// re-estimates share the caller's prehash), each carrying `weight`
+  /// units. Weight 1 runs the CountSketch tracker's batched path; weights above
+  /// 1 (sampled ingest) go item by item through its weighted-add path.
+  void UpdatePrehashed(PrehashedColumns cols, std::size_t n,
+                       count_t weight = 1);
 
   /// Merges an estimator built with the same parameters and seed.
   void Merge(const F2HeavyHitterEstimator& other);

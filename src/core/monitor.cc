@@ -84,13 +84,13 @@ Monitor::Monitor(const MonitorConfig& config, std::uint64_t seed)
 }
 
 void Monitor::Update(item_t item) {
-  const PrehashedItem ph = MakePrehashed(item);
-  UpdatePrehashed(&ph, 1);
+  const std::uint64_t hash = PreHash(item);
+  UpdatePrehashed(PrehashedColumns{&item, &hash}, 1);
 }
 
 void Monitor::UpdateBatch(const item_t* data, std::size_t n) {
   // Stage 1: one strong hash per item into a stack-resident hash column
-  // alongside the caller's item array (SoA — no interleave step).
+  // alongside the caller's item array (no copy of the items).
   // Stage 2: fan both columns to every estimator (UpdatePrehashed).
   ForEachPrehashedChunkCols(data, n,
                             [this](PrehashedColumns cols, std::size_t m) {
@@ -98,53 +98,16 @@ void Monitor::UpdateBatch(const item_t* data, std::size_t n) {
                             });
 }
 
-void Monitor::UpdatePrehashed(const PrehashedItem* data, std::size_t n) {
-  sampled_length_ += n;
-  raw_updates_ += n;
-  if (f0_) f0_->UpdatePrehashed(data, n);
-  if (f2_) f2_->UpdatePrehashed(data, n);
-  if (entropy_) entropy_->UpdatePrehashed(data, n);
-  if (heavy_) heavy_->UpdatePrehashed(data, n);
-}
-
-void Monitor::UpdatePrehashed(PrehashedColumns cols, std::size_t n) {
-  sampled_length_ += n;
-  raw_updates_ += n;
-  if (f0_) f0_->UpdatePrehashed(cols, n);
-  if (f2_) f2_->UpdatePrehashed(cols, n);
-  if (entropy_) entropy_->UpdatePrehashed(cols, n);
-  if (heavy_) heavy_->UpdatePrehashed(cols, n);
-}
-
-void Monitor::UpdatePrehashedWeighted(const PrehashedItem* data, std::size_t n,
-                                      count_t weight) {
+void Monitor::UpdatePrehashed(PrehashedColumns cols, std::size_t n,
+                              count_t weight) {
   SUBSTREAM_CHECK_MSG(weight >= 1, "sampled-ingest weight must be >= 1");
-  if (weight == 1) {
-    UpdatePrehashed(data, n);
-    return;
-  }
   sampled_length_ += n * weight;
   raw_updates_ += n;
   // F0 stays unweighted: set membership cannot be multiplied (see header).
-  if (f0_) f0_->UpdatePrehashed(data, n);
-  if (f2_) f2_->UpdatePrehashedWeighted(data, n, weight);
-  if (entropy_) entropy_->UpdatePrehashedWeighted(data, n, weight);
-  if (heavy_) heavy_->UpdatePrehashedWeighted(data, n, weight);
-}
-
-void Monitor::UpdatePrehashedWeighted(PrehashedColumns cols, std::size_t n,
-                                      count_t weight) {
-  SUBSTREAM_CHECK_MSG(weight >= 1, "sampled-ingest weight must be >= 1");
-  if (weight == 1) {
-    UpdatePrehashed(cols, n);
-    return;
-  }
-  sampled_length_ += n * weight;
-  raw_updates_ += n;
   if (f0_) f0_->UpdatePrehashed(cols, n);
-  if (f2_) f2_->UpdatePrehashedWeighted(cols, n, weight);
-  if (entropy_) entropy_->UpdatePrehashedWeighted(cols, n, weight);
-  if (heavy_) heavy_->UpdatePrehashedWeighted(cols, n, weight);
+  if (f2_) f2_->UpdatePrehashed(cols, n, weight);
+  if (entropy_) entropy_->UpdatePrehashed(cols, n, weight);
+  if (heavy_) heavy_->UpdatePrehashed(cols, n, weight);
 }
 
 bool Monitor::MergeCompatibleWith(const Monitor& other) const {

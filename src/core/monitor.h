@@ -31,13 +31,14 @@
 ///
 /// Ingest runs in two stages. Stage 1 (prehash): each item is hashed ONCE
 /// with the strong shared PreHash (util/hash.h) — UpdateBatch() fills a
-/// stack-resident PrehashedItem column per chunk, Update() prehashes the
-/// single item. Stage 2 (fan-out): the prehashed column is fanned to every
-/// enabled estimator through UpdatePrehashed(); counter-array sketches
-/// derive each row's bucket with a cheap seeded remix + fast-range instead
-/// of re-hashing, and walk their flat counter tables row-major and
-/// cache-blocked. All three entry points (Update / UpdateBatch /
-/// UpdatePrehashed) produce bit-identical monitor state.
+/// stack-resident hash column per chunk alongside the caller's item array,
+/// Update() prehashes the single item. Stage 2 (fan-out): the item and
+/// hash columns (PrehashedColumns) are fanned to every enabled estimator
+/// through its one batched entry point, UpdatePrehashed(); counter-array
+/// sketches derive each row's bucket with a cheap seeded remix +
+/// fast-range instead of re-hashing, and walk their flat counter tables
+/// row-major and cache-blocked. All three entry points (Update /
+/// UpdateBatch / UpdatePrehashed) produce bit-identical monitor state.
 
 namespace substream {
 
@@ -149,26 +150,21 @@ class Monitor {
 
   /// Feeds `n` already-prehashed elements of L — the columnar entry point
   /// ShardedMonitor's rings feed so the partitioner's prehash is reused by
-  /// every sketch on the worker side.
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n);
-
-  /// SoA form: fans the item/hash columns to every estimator so the
-  /// counter-array sketches run unit-stride SIMD loads; bit-identical
-  /// to the AoS fan-out.
-  void UpdatePrehashed(PrehashedColumns cols, std::size_t n);
-
-  /// Weighted (sampled-ingest) forms: each of the `n` elements carries
-  /// `weight` units — the unbiased round(1/p) correction for survivors of
-  /// Bernoulli(p) admission (core/overload.h). Every frequency-weighted
+  /// every sketch on the worker side. The item/hash columns fan out to
+  /// every estimator, so the counter-array sketches run unit-stride SIMD
+  /// loads.
+  ///
+  /// Each element carries `weight` units (>= 1). Weights above 1 are the
+  /// sampled-ingest form: the unbiased round(1/p) correction for survivors
+  /// of Bernoulli(p) admission (core/overload.h). Every frequency-weighted
   /// summary (F2 level sets, entropy MLE, heavy hitters) absorbs the
   /// weight through its linear add path; F0 sees the survivors unweighted
   /// (distinct-count state is a set — a weight cannot conjure the skipped
   /// identities, so under sampling F0 reports distinct *admitted* items).
-  /// weight == 1 is exactly UpdatePrehashed.
-  void UpdatePrehashedWeighted(const PrehashedItem* data, std::size_t n,
-                               count_t weight);
-  void UpdatePrehashedWeighted(PrehashedColumns cols, std::size_t n,
-                               count_t weight);
+  /// sampled_length grows by n * weight, raw_updates by n; weight 1 runs
+  /// every estimator's unweighted batched path.
+  void UpdatePrehashed(PrehashedColumns cols, std::size_t n,
+                       count_t weight = 1);
 
   /// Merges a monitor constructed with the same config and seed, so that
   /// this monitor summarizes the concatenation of both sampled streams.

@@ -296,11 +296,7 @@ void ShardedMonitor::WorkerLoop(std::size_t shard) {
         const std::uint64_t start_ns = obs::NowNs();
         const PrehashedColumns cols{batch.cols.items.data(),
                                     batch.cols.hashes.data()};
-        if (batch.weight > 1) {
-          monitor->UpdatePrehashedWeighted(cols, consumed_items, batch.weight);
-        } else {
-          monitor->UpdatePrehashed(cols, consumed_items);
-        }
+        monitor->UpdatePrehashed(cols, consumed_items, batch.weight);
         PipelineMetrics& metrics = PipelineMetrics::Get();
         metrics.batch_consume_ns.Observe(obs::NowNs() - start_ns);
         metrics.batches_consumed.Inc();

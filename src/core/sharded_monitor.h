@@ -108,7 +108,7 @@
 /// SampleControllerOptions::min_rate); skipped items never pay hashing,
 /// staging or ring traffic, so the producer keeps running at line rate.
 /// Survivors ship with the batch-level weight round(1/p) and the workers
-/// apply them through Monitor::UpdatePrehashedWeighted — every counter
+/// apply them through Monitor::UpdatePrehashed's weight — every counter
 /// stays an unbiased estimate at a variance cost Health() reports as
 /// sampled_epsilon. When pressure stays below the disengage watermark for
 /// a calm streak, p doubles back toward exact counting (hysteresis: the
@@ -135,7 +135,8 @@ struct ShardedMonitorOptions {
   /// sleep) when a ring is full, and counts the stall.
   std::size_t ring_capacity = 64;
   /// Target items per batch handed to a shard. Larger batches amortize
-  /// ring-buffer traffic and let UpdateBatch's row-major loops run longer.
+  /// ring-buffer traffic and let the sketches' row-major batched loops run
+  /// longer.
   std::size_t batch_items = 4096;
   /// Number of shard groups. 0 (default) auto-detects one group per NUMA
   /// node; any positive value forces that many groups (clamped to the

@@ -72,11 +72,6 @@ void WindowedMonitor::UpdateBatch(const item_t* data, std::size_t n) {
   ring_[cursor_].UpdateBatch(data, n);
 }
 
-void WindowedMonitor::UpdatePrehashed(const PrehashedItem* data,
-                                      std::size_t n) {
-  ring_[cursor_].UpdatePrehashed(data, n);
-}
-
 void WindowedMonitor::UpdatePrehashed(PrehashedColumns cols, std::size_t n) {
   ring_[cursor_].UpdatePrehashed(cols, n);
 }

@@ -111,10 +111,8 @@ class WindowedMonitor {
   /// Feeds `n` contiguous elements into the current window.
   void UpdateBatch(const item_t* data, std::size_t n);
 
-  /// Feeds `n` already-prehashed elements into the current window.
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n);
-
-  /// SoA form: feeds the columns into the current window.
+  /// Feeds `n` already-prehashed elements, as item/hash columns, into the
+  /// current window.
   void UpdatePrehashed(PrehashedColumns cols, std::size_t n);
 
   /// Closes the current window and opens a fresh one. Constant-time: while

@@ -56,32 +56,9 @@ void AmsF2Sketch::Update(item_t item, std::int64_t count) {
   }
 }
 
-void AmsF2Sketch::UpdateBatch(const item_t* data, std::size_t n) {
-  for (std::size_t j = 0; j < counters_.size(); ++j) {
-    const PolynomialHash& hash = sign_hashes_[j];
-    std::int64_t acc = 0;
-    for (std::size_t i = 0; i < n; ++i) acc += hash.Sign(data[i]);
-    counters_[j] += acc;
-  }
-  total_ += n;
-}
-
-void AmsF2Sketch::UpdatePrehashed(const PrehashedItem* data, std::size_t n) {
-  // Signs are evaluated on the raw identity; run the same estimator-major
-  // accumulation as UpdateBatch (integer adds, so the result is identical
-  // to the scalar loop regardless of order).
-  for (std::size_t j = 0; j < counters_.size(); ++j) {
-    const PolynomialHash& hash = sign_hashes_[j];
-    std::int64_t acc = 0;
-    for (std::size_t i = 0; i < n; ++i) acc += hash.Sign(data[i].item);
-    counters_[j] += acc;
-  }
-  total_ += n;
-}
-
 void AmsF2Sketch::UpdatePrehashed(PrehashedColumns cols, std::size_t n) {
-  // The SoA layout is a strict win here: the item column is already
-  // contiguous, so the estimator-major sweep streams it unit-stride.
+  // Integer adds, so the estimator-major order yields exactly the scalar
+  // loop's counters; the item column streams unit-stride.
   for (std::size_t j = 0; j < counters_.size(); ++j) {
     const PolynomialHash& hash = sign_hashes_[j];
     std::int64_t acc = 0;

@@ -33,17 +33,11 @@ class AmsF2Sketch {
 
   void Update(item_t item, std::int64_t count = 1);
 
-  /// Adds `n` contiguous elements, estimator-major: each atomic estimator
-  /// accumulates its signed sum over the whole batch in a register before
-  /// touching the counter array.
-  void UpdateBatch(const item_t* data, std::size_t n);
-
-  /// Feeds `n` already-prehashed elements. The 4-wise-independent sign
-  /// hashes need the raw identity (independence is what the variance bound
-  /// uses), so the prehash itself is unused here.
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n);
-
-  /// SoA form: the same estimator-major accumulation over the item column.
+  /// Feeds `n` already-prehashed elements, estimator-major: each atomic
+  /// estimator accumulates its signed sum over the whole item column in a
+  /// register before touching the counter array. The 4-wise-independent
+  /// sign hashes need the raw identity (independence is what the variance
+  /// bound uses), so the hash column is unused here.
   void UpdatePrehashed(PrehashedColumns cols, std::size_t n);
 
   /// Zeroes all counters; geometry, seed and sign hashes are kept.

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #if SUBSTREAM_SIMD_X86
 #include <immintrin.h>
@@ -56,32 +55,8 @@ inline std::int64_t Poly4Sign(std::uint64_t x, const std::uint64_t c[4]) {
   return (Poly4Hash(x, c) & 1) ? +1 : -1;
 }
 
-void BucketRowScalar(const PrehashedItem* items, std::size_t n,
-                     std::uint64_t row_seed, std::uint64_t width,
-                     std::uint64_t* out_idx) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out_idx[i] = FastRange64(RemixHash(items[i].hash, row_seed), width);
-  }
-}
-
-void SignRow4Scalar(const PrehashedItem* items, std::size_t n,
-                    const std::uint64_t c[4], std::int64_t* out_sign) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out_sign[i] = Poly4Sign(items[i].item, c);
-  }
-}
-
-void BucketRowMaskScalar(const PrehashedItem* items, std::size_t n,
-                         std::uint64_t row_seed, std::uint64_t mask,
-                         std::uint64_t* out_idx) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out_idx[i] = RemixHash(items[i].hash, row_seed) & mask;
-  }
-}
-
-// SoA forms: the same scalar reference math over bare columns. These also
-// serve as the tail/fallback of the vector SoA kernels, so the AoS and SoA
-// paths share one definition of every derivation.
+// The scalar reference kernels double as the tails of the vector kernels,
+// so every level shares one definition of each derivation.
 
 void BucketRowColsScalar(const std::uint64_t* hashes, std::size_t n,
                          std::uint64_t row_seed, std::uint64_t width,
@@ -108,13 +83,9 @@ void BucketRowMaskColsScalar(const std::uint64_t* hashes, std::size_t n,
 
 constexpr KernelTable kScalarTable = {
     simd::Isa::kScalar,
-    BucketRowScalar,
-    SignRow4Scalar,
-    BucketRowMaskScalar,
     BucketRowColsScalar,
     SignRow4ColsScalar,
     BucketRowMaskColsScalar,
-    nullptr,
 };
 
 #if SUBSTREAM_SIMD_X86
@@ -229,25 +200,6 @@ SUBSTREAM_TGT_AVX2 __m256i HornerStepAvx2(__m256i acc, __m256i xm,
   return ModMersenne128Avx2(hi, lo2);
 }
 
-/// Deinterleaves 4 PrehashedItems (AoS {item, hash}) into hash lanes.
-SUBSTREAM_TGT_AVX2 __m256i LoadHashes4(const PrehashedItem* items) {
-  const __m256i v0 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(items));
-  const __m256i v1 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(items + 2));
-  return _mm256_permute4x64_epi64(_mm256_unpackhi_epi64(v0, v1),
-                                  _MM_SHUFFLE(3, 1, 2, 0));
-}
-
-SUBSTREAM_TGT_AVX2 __m256i LoadItems4(const PrehashedItem* items) {
-  const __m256i v0 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(items));
-  const __m256i v1 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(items + 2));
-  return _mm256_permute4x64_epi64(_mm256_unpacklo_epi64(v0, v1),
-                                  _MM_SHUFFLE(3, 1, 2, 0));
-}
-
 /// PolynomialHash::Sign parity convention: odd hash => +1, even => -1,
 /// i.e. sign = 2 * (h & 1) - 1.
 SUBSTREAM_TGT_AVX2 __m256i Hash2SignAvx2(__m256i h) {
@@ -264,73 +216,6 @@ SUBSTREAM_TGT_AVX2 __m256i FastRangeNarrowAvx2(__m256i x, __m256i w) {
   const __m256i b = _mm256_mul_epu32(x, w);
   return _mm256_srli_epi64(_mm256_add_epi64(a, _mm256_srli_epi64(b, 32)), 32);
 }
-
-__attribute__((target("avx2"))) void BucketRowAvx2(const PrehashedItem* items,
-                                                   std::size_t n,
-                                                   std::uint64_t row_seed,
-                                                   std::uint64_t width,
-                                                   std::uint64_t* out_idx) {
-  const __m256i seed =
-      _mm256_set1_epi64x(static_cast<long long>(row_seed));
-  const __m256i w = _mm256_set1_epi64x(static_cast<long long>(width));
-  std::size_t i = 0;
-  if ((width >> 32) == 0) {
-    for (; i + 4 <= n; i += 4) {
-      const __m256i mixed = RemixAvx2(LoadHashes4(items + i), seed);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out_idx + i),
-                          FastRangeNarrowAvx2(mixed, w));
-    }
-  } else {
-    for (; i + 4 <= n; i += 4) {
-      const __m256i mixed = RemixAvx2(LoadHashes4(items + i), seed);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out_idx + i),
-                          MulHi64Avx2(mixed, w));
-    }
-  }
-  _mm256_zeroupper();  // see "Upper state" above
-  BucketRowScalar(items + i, n - i, row_seed, width, out_idx + i);
-}
-
-__attribute__((target("avx2"))) void SignRow4Avx2(const PrehashedItem* items,
-                                                  std::size_t n,
-                                                  const std::uint64_t c[4],
-                                                  std::int64_t* out_sign) {
-  const __m256i c0 = _mm256_set1_epi64x(static_cast<long long>(c[0]));
-  const __m256i c1 = _mm256_set1_epi64x(static_cast<long long>(c[1]));
-  const __m256i c2 = _mm256_set1_epi64x(static_cast<long long>(c[2]));
-  const __m256i c3 = _mm256_set1_epi64x(static_cast<long long>(c[3]));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i xm = Mod61Avx2(LoadItems4(items + i));
-    __m256i acc = c3;
-    acc = HornerStepAvx2(acc, xm, c2);
-    acc = HornerStepAvx2(acc, xm, c1);
-    acc = HornerStepAvx2(acc, xm, c0);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out_sign + i),
-                        Hash2SignAvx2(acc));
-  }
-  _mm256_zeroupper();  // see "Upper state" above
-  SignRow4Scalar(items + i, n - i, c, out_sign + i);
-}
-
-__attribute__((target("avx2"))) void BucketRowMaskAvx2(
-    const PrehashedItem* items, std::size_t n, std::uint64_t row_seed,
-    std::uint64_t mask, std::uint64_t* out_idx) {
-  const __m256i seed = _mm256_set1_epi64x(static_cast<long long>(row_seed));
-  const __m256i m = _mm256_set1_epi64x(static_cast<long long>(mask));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i mixed = RemixAvx2(LoadHashes4(items + i), seed);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out_idx + i),
-                        _mm256_and_si256(mixed, m));
-  }
-  _mm256_zeroupper();  // see "Upper state" above
-  BucketRowMaskScalar(items + i, n - i, row_seed, mask, out_idx + i);
-}
-
-// SoA AVX2 kernels: identical lane math, but the column layout turns each
-// LoadHashes4/LoadItems4 (two loads + unpack + cross-lane permute) into one
-// unit-stride _mm256_loadu_si256.
 
 __attribute__((target("avx2"))) void BucketRowColsAvx2(
     const std::uint64_t* hashes, std::size_t n, std::uint64_t row_seed,
@@ -400,15 +285,9 @@ __attribute__((target("avx2"))) void BucketRowMaskColsAvx2(
 
 constexpr KernelTable kAvx2Table = {
     simd::Isa::kAvx2,
-    BucketRowAvx2,
-    SignRow4Avx2,
-    BucketRowMaskAvx2,
     BucketRowColsAvx2,
     SignRow4ColsAvx2,
     BucketRowMaskColsAvx2,
-    // No packed increments on AVX2: the gather-increment-scatter replay
-    // needs scatter and lane-conflict detection, which are AVX-512-only.
-    nullptr,
 };
 
 // ---------------------------------------------------------------------------
@@ -485,25 +364,6 @@ SUBSTREAM_TGT_AVX512 __m512i HornerStepAvx512(__m512i acc, __m512i xm,
   return ModMersenne128Avx512(hi, lo2);
 }
 
-SUBSTREAM_TGT_AVX512 __m512i LoadHashes8(const PrehashedItem* items) {
-  const __m512i v0 =
-      _mm512_loadu_si512(reinterpret_cast<const void*>(items));
-  const __m512i v1 =
-      _mm512_loadu_si512(reinterpret_cast<const void*>(items + 4));
-  const __m512i idx =
-      _mm512_set_epi64(15, 13, 11, 9, 7, 5, 3, 1);  // hashes, in order
-  return _mm512_permutex2var_epi64(v0, idx, v1);
-}
-
-SUBSTREAM_TGT_AVX512 __m512i LoadItems8(const PrehashedItem* items) {
-  const __m512i v0 =
-      _mm512_loadu_si512(reinterpret_cast<const void*>(items));
-  const __m512i v1 =
-      _mm512_loadu_si512(reinterpret_cast<const void*>(items + 4));
-  const __m512i idx = _mm512_set_epi64(14, 12, 10, 8, 6, 4, 2, 0);
-  return _mm512_permutex2var_epi64(v0, idx, v1);
-}
-
 /// Same parity convention as Hash2SignAvx2: sign = 2 * (h & 1) - 1.
 SUBSTREAM_TGT_AVX512 __m512i Hash2SignAvx512(__m512i h) {
   const __m512i one = _mm512_set1_epi64(1);
@@ -516,158 +376,6 @@ SUBSTREAM_TGT_AVX512 __m512i FastRangeNarrowAvx512(__m512i x, __m512i w) {
   const __m512i b = _mm512_mul_epu32(x, w);
   return _mm512_srli_epi64(_mm512_add_epi64(a, _mm512_srli_epi64(b, 32)), 32);
 }
-
-__attribute__((target("avx512f,avx512dq"))) void BucketRowAvx512(
-    const PrehashedItem* items, std::size_t n, std::uint64_t row_seed,
-    std::uint64_t width, std::uint64_t* out_idx) {
-  const __m512i seed = _mm512_set1_epi64(static_cast<long long>(row_seed));
-  const __m512i w = _mm512_set1_epi64(static_cast<long long>(width));
-  std::size_t i = 0;
-  if ((width >> 32) == 0) {
-    for (; i + 8 <= n; i += 8) {
-      const __m512i mixed = RemixAvx512(LoadHashes8(items + i), seed);
-      _mm512_storeu_si512(reinterpret_cast<void*>(out_idx + i),
-                          FastRangeNarrowAvx512(mixed, w));
-    }
-  } else {
-    for (; i + 8 <= n; i += 8) {
-      const __m512i mixed = RemixAvx512(LoadHashes8(items + i), seed);
-      _mm512_storeu_si512(reinterpret_cast<void*>(out_idx + i),
-                          MulHi64Avx512(mixed, w));
-    }
-  }
-  _mm256_zeroupper();  // see "Upper state" above
-  BucketRowScalar(items + i, n - i, row_seed, width, out_idx + i);
-}
-
-__attribute__((target("avx512f,avx512dq"))) void SignRow4Avx512(
-    const PrehashedItem* items, std::size_t n, const std::uint64_t c[4],
-    std::int64_t* out_sign) {
-  const __m512i c0 = _mm512_set1_epi64(static_cast<long long>(c[0]));
-  const __m512i c1 = _mm512_set1_epi64(static_cast<long long>(c[1]));
-  const __m512i c2 = _mm512_set1_epi64(static_cast<long long>(c[2]));
-  const __m512i c3 = _mm512_set1_epi64(static_cast<long long>(c[3]));
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i xm = Mod61Avx512(LoadItems8(items + i));
-    __m512i acc = c3;
-    acc = HornerStepAvx512(acc, xm, c2);
-    acc = HornerStepAvx512(acc, xm, c1);
-    acc = HornerStepAvx512(acc, xm, c0);
-    _mm512_storeu_si512(reinterpret_cast<void*>(out_sign + i),
-                        Hash2SignAvx512(acc));
-  }
-  _mm256_zeroupper();  // see "Upper state" above
-  SignRow4Scalar(items + i, n - i, c, out_sign + i);
-}
-
-__attribute__((target("avx512f,avx512dq"))) void BucketRowMaskAvx512(
-    const PrehashedItem* items, std::size_t n, std::uint64_t row_seed,
-    std::uint64_t mask, std::uint64_t* out_idx) {
-  const __m512i seed = _mm512_set1_epi64(static_cast<long long>(row_seed));
-  const __m512i m = _mm512_set1_epi64(static_cast<long long>(mask));
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i mixed = RemixAvx512(LoadHashes8(items + i), seed);
-    _mm512_storeu_si512(reinterpret_cast<void*>(out_idx + i),
-                        _mm512_and_si512(mixed, m));
-  }
-  _mm256_zeroupper();  // see "Upper state" above
-  BucketRowMaskScalar(items + i, n - i, row_seed, mask, out_idx + i);
-}
-
-/// One packed-cell unit increment, word-granular and aliasing-safe (memcpy
-/// word access). The AVX-512 kernel's conflict/stop/tail fallback; replays
-/// in stream order so spill state matches the scalar reference exactly.
-inline void IncOnePacked(void* cells, std::uint64_t flat, unsigned log2_cpw,
-                         std::uint32_t cell_mask, std::uint32_t stop_field,
-                         KernelTable::IncColdFn cold, void* ctx) {
-  const std::uint64_t word_idx = flat >> log2_cpw;
-  const unsigned shift = static_cast<unsigned>(flat & ((1u << log2_cpw) - 1))
-                         << (5 - log2_cpw);
-  unsigned char* const word_ptr =
-      static_cast<unsigned char*>(cells) + word_idx * 4;
-  std::uint32_t word;
-  std::memcpy(&word, word_ptr, 4);
-  const std::uint32_t field = (word >> shift) & cell_mask;
-  if (field == stop_field) {
-    // The cold path rewrites cell storage itself (a spill zeroes the cell
-    // and promotes), so the local word copy must not be written back.
-    cold(ctx, flat);
-    return;
-  }
-  word = (word & ~(cell_mask << shift)) | (((field + 1) & cell_mask) << shift);
-  std::memcpy(word_ptr, &word, 4);
-}
-
-/// Lane-packed unit increments: gather the 8 target cells' 32-bit words,
-/// increment the addressed fields in-register, scatter back. Safe exactly
-/// when the 8 lanes touch 8 distinct words (vpconflictq on the *word*
-/// indices — two distinct cells sharing a word still read-modify-write the
-/// same word) and no lane's field sits at the stop pattern; any other group
-/// replays scalar in stream order, which also keeps spill promotion
-/// deterministic. Increments commute, so clean-group reordering cannot be
-/// observed in the final counters.
-__attribute__((target("avx2,avx512f,avx512dq,avx512cd"))) void
-IncRowPackedAvx512(void* cells, std::uint64_t row_base,
-                   const std::uint64_t* buckets, std::size_t n,
-                   unsigned log2_cpw, std::uint32_t cell_mask,
-                   std::uint32_t stop_field, KernelTable::IncColdFn cold,
-                   void* ctx) {
-  const __m512i vbase = _mm512_set1_epi64(static_cast<long long>(row_base));
-  const __m512i vcpw_mask =
-      _mm512_set1_epi64(static_cast<long long>((1u << log2_cpw) - 1));
-  const __m128i word_shift = _mm_cvtsi32_si128(static_cast<int>(log2_cpw));
-  const __m128i field_shift =
-      _mm_cvtsi32_si128(static_cast<int>(5 - log2_cpw));
-  const __m256i vmask32 = _mm256_set1_epi32(static_cast<int>(cell_mask));
-  const __m256i vstop = _mm256_set1_epi32(static_cast<int>(stop_field));
-  const __m256i vone = _mm256_set1_epi32(1);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i flat = _mm512_add_epi64(
-        _mm512_loadu_si512(reinterpret_cast<const void*>(buckets + i)),
-        vbase);
-    const __m512i widx = _mm512_srl_epi64(flat, word_shift);
-    const __m512i conf = _mm512_conflict_epi64(widx);
-    if (_mm512_test_epi64_mask(conf, conf) != 0) {
-      for (std::size_t j = 0; j < 8; ++j) {
-        IncOnePacked(cells, row_base + buckets[i + j], log2_cpw, cell_mask,
-                     stop_field, cold, ctx);
-      }
-      continue;
-    }
-    const __m256i words = _mm512_i64gather_epi32(widx, cells, 4);
-    const __m256i sh32 = _mm512_cvtepi64_epi32(
-        _mm512_sll_epi64(_mm512_and_si512(flat, vcpw_mask), field_shift));
-    const __m256i fields =
-        _mm256_and_si256(_mm256_srlv_epi32(words, sh32), vmask32);
-    // Stop detection via AVX2 compare + movemask: the table's target set
-    // deliberately excludes AVX512VL, so no 256-bit mask-register compare.
-    if (_mm256_movemask_epi8(_mm256_cmpeq_epi32(fields, vstop)) != 0) {
-      for (std::size_t j = 0; j < 8; ++j) {
-        IncOnePacked(cells, row_base + buckets[i + j], log2_cpw, cell_mask,
-                     stop_field, cold, ctx);
-      }
-      continue;
-    }
-    const __m256i inc =
-        _mm256_and_si256(_mm256_add_epi32(fields, vone), vmask32);
-    const __m256i cleared =
-        _mm256_andnot_si256(_mm256_sllv_epi32(vmask32, sh32), words);
-    const __m256i neww =
-        _mm256_or_si256(cleared, _mm256_sllv_epi32(inc, sh32));
-    _mm512_i64scatter_epi32(cells, widx, neww, 4);
-  }
-  _mm256_zeroupper();  // see "Upper state" above
-  for (; i < n; ++i) {
-    IncOnePacked(cells, row_base + buckets[i], log2_cpw, cell_mask,
-                 stop_field, cold, ctx);
-  }
-}
-
-// SoA AVX-512 kernels: one _mm512_loadu_si512 per lane set instead of the
-// LoadHashes8/LoadItems8 two-load + permutex2var deinterleave.
 
 __attribute__((target("avx512f,avx512dq"))) void BucketRowColsAvx512(
     const std::uint64_t* hashes, std::size_t n, std::uint64_t row_seed,
@@ -734,13 +442,9 @@ __attribute__((target("avx512f,avx512dq"))) void BucketRowMaskColsAvx512(
 
 constexpr KernelTable kAvx512Table = {
     simd::Isa::kAvx512,
-    BucketRowAvx512,
-    SignRow4Avx512,
-    BucketRowMaskAvx512,
     BucketRowColsAvx512,
     SignRow4ColsAvx512,
     BucketRowMaskColsAvx512,
-    IncRowPackedAvx512,
 };
 
 #endif  // SUBSTREAM_SIMD_X86

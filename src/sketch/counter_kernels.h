@@ -20,20 +20,18 @@
 /// (kernels::Dispatch), with the scalar loop kept as the portable reference.
 ///
 /// Kernels compute *derivations* (bucket indices, signs) into small
-/// stack-resident buffers; the 64-bit counter increments stay scalar,
-/// reading those buffers in stream order. That keeps those kernels
-/// gather/scatter-free and conflict-safe: two lanes hashing to the same
-/// bucket can never lose an increment, and order-sensitive state (the
-/// CountSketch row norms) sees exactly the scalar update sequence. For
-/// *narrow* cells (8/16/32-bit, PR 6) the AVX-512 level additionally packs
-/// the unit-increment replay itself: cells are gathered as 32-bit words,
-/// incremented in-register, and scattered back — guarded by
-/// _mm512_conflict_epi64 word-conflict detection plus a stop-pattern check,
-/// with any conflicted or saturated 8-lane group replayed scalar in stream
-/// order. All kernel arithmetic is exact integer math and spills only ever
-/// happen in stream order, so every dispatch level yields bit-identical
-/// sketch state (simd_equivalence_test pins serialized-byte equality per
-/// level).
+/// stack-resident buffers; the counter increments stay scalar, reading
+/// those buffers in stream order. That keeps the kernels gather/scatter-free
+/// and conflict-safe: two lanes hashing to the same bucket can never lose
+/// an increment, and order-sensitive state (the CountSketch row norms, the
+/// narrow-cell spill promotions) sees exactly the scalar update sequence.
+/// All kernel arithmetic is exact integer math, so every dispatch level
+/// yields bit-identical sketch state (simd_equivalence_test pins
+/// serialized-byte equality per level).
+///
+/// Inputs are the bare columns of a PrehashedColumns batch: bucket passes
+/// read the hash column, the sign pass reads the item column, and every
+/// vector level takes one unit-stride load per lane set.
 ///
 /// Only the BATCHED ingest paths dispatch here. Per-item operations keep
 /// their scalar loops at every level: a per-item panel (lanes across rows)
@@ -72,59 +70,26 @@ inline constexpr std::size_t kMicroBlockItems = 64;
 struct KernelTable {
   simd::Isa isa;
 
-  /// Row pass over a prehashed block: out_idx[i] =
-  /// FastRange64(RemixHash(items[i].hash, row_seed), width).
-  void (*bucket_row)(const PrehashedItem* items, std::size_t n,
-                     std::uint64_t row_seed, std::uint64_t width,
-                     std::uint64_t* out_idx);
-
-  /// 4-wise-independent sign row pass: out_sign[i] in {-1, +1} equals
-  /// PolynomialHash{coeffs}.Sign(items[i].item) for a degree-3 polynomial
-  /// over GF(2^61 - 1) with coefficients c[0..3] (constant term first, as
-  /// PolynomialHash stores them).
-  void (*sign_row4)(const PrehashedItem* items, std::size_t n,
-                    const std::uint64_t c[4], std::int64_t* out_sign);
-
-  /// Power-of-two-width row pass: out_idx[i] =
-  /// RemixHash(items[i].hash, row_seed) & mask. The mask reduction skips
-  /// FastRange64's multiply-high; its bucket placement differs from
-  /// fast-range placement even at equal widths, so tables pick exactly one.
-  void (*bucket_row_mask)(const PrehashedItem* items, std::size_t n,
-                          std::uint64_t row_seed, std::uint64_t mask,
-                          std::uint64_t* out_idx);
-
-  /// SoA forms of the three row passes above: identical math, but the
-  /// inputs arrive as bare columns (PrehashedColumns members), so the
-  /// vector levels take one unit-stride load per lane set instead of the
-  /// two-loads-plus-shuffle deinterleave the AoS layout forces. Bucket
-  /// passes read the hash column; the sign pass reads the item column.
+  /// Row pass over a hash column: out_idx[i] =
+  /// FastRange64(RemixHash(hashes[i], row_seed), width).
   void (*bucket_row_cols)(const std::uint64_t* hashes, std::size_t n,
                           std::uint64_t row_seed, std::uint64_t width,
                           std::uint64_t* out_idx);
+
+  /// 4-wise-independent sign row pass over an item column: out_sign[i] in
+  /// {-1, +1} equals PolynomialHash{coeffs}.Sign(items[i]) for a degree-3
+  /// polynomial over GF(2^61 - 1) with coefficients c[0..3] (constant term
+  /// first, as PolynomialHash stores them).
   void (*sign_row4_cols)(const std::uint64_t* items, std::size_t n,
                          const std::uint64_t c[4], std::int64_t* out_sign);
+
+  /// Power-of-two-width row pass: out_idx[i] =
+  /// RemixHash(hashes[i], row_seed) & mask. The mask reduction skips
+  /// FastRange64's multiply-high; its bucket placement differs from
+  /// fast-range placement even at equal widths, so tables pick exactly one.
   void (*bucket_row_mask_cols)(const std::uint64_t* hashes, std::size_t n,
                                std::uint64_t row_seed, std::uint64_t mask,
                                std::uint64_t* out_idx);
-
-  /// Cold-path callback of the packed increment kernel: invoked, in stream
-  /// order, for each increment whose cell sits at the stop pattern.
-  using IncColdFn = void (*)(void* ctx, std::uint64_t flat_index);
-
-  /// Lane-packed unit-increment replay over a narrow-cell level. `cells` is
-  /// the level's storage viewed as little-endian 32-bit words holding
-  /// `1 << log2_cpw` cells of `32 >> log2_cpw` bits each; increment i
-  /// targets flat cell index `row_base + buckets[i]`. A cell whose field
-  /// equals `stop_field` is not incremented: `cold(ctx, flat)` runs instead
-  /// (spill promotion or saturation, per the caller). Effects are exactly
-  /// those of the in-stream-order scalar replay — groups with intra-group
-  /// word conflicts or stop cells fall back to scalar order internally.
-  /// Null on dispatch levels without gather/scatter+conflict support
-  /// (scalar, AVX2); callers replay scalar when null.
-  void (*inc_row_packed)(void* cells, std::uint64_t row_base,
-                         const std::uint64_t* buckets, std::size_t n,
-                         unsigned log2_cpw, std::uint32_t cell_mask,
-                         std::uint32_t stop_field, IncColdFn cold, void* ctx);
 };
 
 /// The active kernel table. First call resolves the level (env override,
@@ -152,9 +117,9 @@ std::vector<simd::Isa> AvailableIsas();
 /// full micro-block earlier, past the store-to-load forwarding window.
 /// Callers own the two buffer slots; per-item order within replay is the
 /// stream order, so counters stay bit-identical to the fused scalar loop.
-/// `block` is any cursor supporting `block + offset` — a `PrehashedItem*`
-/// (AoS), a raw `std::uint64_t*` column, or a `std::size_t` base offset
-/// when the derive stage reads several parallel columns at once.
+/// `block` is any cursor supporting `block + offset` — a raw
+/// `std::uint64_t*` column, or a `std::size_t` base offset when the derive
+/// stage reads several parallel columns at once.
 template <typename Cursor, typename Derive, typename Replay>
 inline void MicroBlockPipeline(Cursor block, std::size_t m,
                                Derive&& derive, Replay&& replay) {

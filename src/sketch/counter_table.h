@@ -48,12 +48,10 @@
 /// The batched bucket derivations dispatch through the SIMD kernel layer
 /// (sketch/counter_kernels.h): on AVX2/AVX-512 hosts AddPrehashed runs the
 /// remix + reduction math 4/8 lanes wide into a stack-resident index
-/// buffer; with narrow cells on AVX-512 the increment replay itself runs
-/// lane-packed (conflict-detected gather-increment-scatter, falling back to
-/// in-order scalar replay on word conflicts or stop cells), and the scalar
-/// dispatch level keeps the fused loop as the portable reference. All paths
-/// produce bit-identical counters — including identical physical spill
-/// state, because spills only ever happen in stream order. Per-item
+/// buffer and replays the increments from it in stream order, and the
+/// scalar dispatch level keeps the fused loop as the portable reference.
+/// All paths produce bit-identical counters — including identical physical
+/// spill state, because spills only ever happen in stream order. Per-item
 /// operations stay scalar at every level (see Add for why a per-item panel
 /// loses).
 ///
@@ -295,26 +293,24 @@ class CounterTable {
     }
   }
 
-  /// Unit-count batched add of a prehashed column, cache-blocked and
-  /// row-major. On vector dispatch levels the remix + reduction math runs
-  /// SIMD into a stack index buffer and the increments replay it in stream
-  /// order; with narrow cells the AVX-512 level replays lane-packed
-  /// (conflict-detected gather-increment-scatter with scalar fallback on
-  /// word conflicts or stop cells), while scalar keeps the fused loop.
-  /// Increment order per row differs between the structures only across
-  /// commutative integer adds on distinct non-spilling cells, so counters —
-  /// and spill state — are bit-identical at every dispatch level.
-  void AddPrehashed(const PrehashedItem* data, std::size_t n) {
+  /// Unit-count batched add of a prehash column, cache-blocked and
+  /// row-major. Bucket derivation reads only the hash column. On vector
+  /// dispatch levels the remix + reduction math runs SIMD into a stack
+  /// index buffer and the increments replay it in stream order; the scalar
+  /// level keeps the fused loop. Increment order per row is the stream
+  /// order at every level, so counters — and spill state — are
+  /// bit-identical across dispatch levels.
+  void AddPrehashed(const std::uint64_t* hashes, std::size_t n) {
     const kernels::KernelTable& k = kernels::Dispatch();
     switch (options_.cell_width) {
       case CellWidth::k8:
-        AddPrehashedNarrow<std::uint8_t, 2>(lv8_.data(), data, n, k);
+        AddPrehashedNarrow(lv8_.data(), hashes, n, k);
         return;
       case CellWidth::k16:
-        AddPrehashedNarrow<std::uint16_t, 1>(lv16_.data(), data, n, k);
+        AddPrehashedNarrow(lv16_.data(), hashes, n, k);
         return;
       case CellWidth::k32:
-        AddPrehashedNarrow<std::uint32_t, 0>(lv32_.data(), data, n, k);
+        AddPrehashedNarrow(lv32_.data(), hashes, n, k);
         return;
       case CellWidth::k64:
         break;
@@ -325,76 +321,6 @@ class CounterTable {
       // (kernels::MicroBlockPipeline) inside the same row-major cache
       // blocking as the scalar loop, so one row's counters and one 16 KiB
       // column block stay L1-resident per pass.
-      std::uint64_t idx[2][kernels::kMicroBlockItems];
-      for (std::size_t base = 0; base < n; base += kBlockItems) {
-        const std::size_t m = std::min(kBlockItems, n - base);
-        const PrehashedItem* const block = data + base;
-        for (int r = 0; r < depth_; ++r) {
-          CounterT* const row = Row(r);
-          const std::uint64_t seed = row_seeds_[static_cast<std::size_t>(r)];
-          kernels::MicroBlockPipeline(
-              block, m,
-              [&](const PrehashedItem* p, std::size_t mm, int slot) {
-                if (pow2) {
-                  k.bucket_row_mask(p, mm, seed, mask_, idx[slot]);
-                } else {
-                  k.bucket_row(p, mm, seed, width_, idx[slot]);
-                }
-              },
-              [&](int slot, std::size_t mm) {
-                const std::uint64_t* const buf = idx[slot];
-                for (std::size_t i = 0; i < mm; ++i) {
-                  row[buf[i]] += CounterT{1};
-                }
-              });
-        }
-      }
-      return;
-    }
-    for (std::size_t base = 0; base < n; base += kBlockItems) {
-      const std::size_t m = std::min(kBlockItems, n - base);
-      const PrehashedItem* const block = data + base;
-      for (int r = 0; r < depth_; ++r) {
-        CounterT* const row = Row(r);
-        const std::uint64_t seed = row_seeds_[static_cast<std::size_t>(r)];
-        if (pow2) {
-          const std::uint64_t mask = mask_;
-          for (std::size_t i = 0; i < m; ++i) {
-            row[RemixHash(block[i].hash, seed) & mask] += CounterT{1};
-          }
-        } else {
-          const std::uint64_t width = width_;
-          for (std::size_t i = 0; i < m; ++i) {
-            row[FastRange64(RemixHash(block[i].hash, seed), width)] +=
-                CounterT{1};
-          }
-        }
-      }
-    }
-  }
-
-  /// SoA twin of AddPrehashed: the bucket derivation only ever reads the
-  /// hash column, so the column path takes bare hashes — unit-stride SIMD
-  /// loads via the `_cols` kernels instead of deinterleave shuffles. Same
-  /// cache blocking, same replay order, bit-identical counters and spill
-  /// state.
-  void AddPrehashed(const std::uint64_t* hashes, std::size_t n) {
-    const kernels::KernelTable& k = kernels::Dispatch();
-    switch (options_.cell_width) {
-      case CellWidth::k8:
-        AddPrehashedNarrowCols<std::uint8_t, 2>(lv8_.data(), hashes, n, k);
-        return;
-      case CellWidth::k16:
-        AddPrehashedNarrowCols<std::uint16_t, 1>(lv16_.data(), hashes, n, k);
-        return;
-      case CellWidth::k32:
-        AddPrehashedNarrowCols<std::uint32_t, 0>(lv32_.data(), hashes, n, k);
-        return;
-      case CellWidth::k64:
-        break;
-    }
-    const bool pow2 = options_.pow2_width;
-    if (k.isa != simd::Isa::kScalar) {
       std::uint64_t idx[2][kernels::kMicroBlockItems];
       for (std::size_t base = 0; base < n; base += kBlockItems) {
         const std::size_t m = std::min(kBlockItems, n - base);
@@ -566,19 +492,16 @@ class CounterTable {
     return false;
   }
 
-  /// Allocates (zeroed) storage for level `w` if absent. Narrow levels are
-  /// padded to a whole number of 32-bit words so the packed increment
-  /// kernel's word-granular gathers/scatters stay in bounds; padding cells
-  /// are never indexed and never serialized.
+  /// Allocates (zeroed) storage for level `w` if absent.
   void EnsureLevelAllocated(CellWidth w) {
     const std::size_t n = NumCells();
     const bool was_allocated = LevelAllocated(w);
     switch (w) {
       case CellWidth::k8:
-        if (lv8_.empty()) lv8_.assign(PaddedCells(n, 4), 0);
+        if (lv8_.empty()) lv8_.assign(n, 0);
         break;
       case CellWidth::k16:
-        if (lv16_.empty()) lv16_.assign(PaddedCells(n, 2), 0);
+        if (lv16_.empty()) lv16_.assign(n, 0);
         break;
       case CellWidth::k32:
         if (lv32_.empty()) lv32_.assign(n, 0);
@@ -707,10 +630,6 @@ class CounterTable {
     return p;
   }
 
-  static std::size_t PaddedCells(std::size_t n, std::size_t cells_per_word) {
-    return (n + cells_per_word - 1) / cells_per_word * cells_per_word;
-  }
-
   /// Two's-complement uint64 image of level `w` cell `i`, extended per
   /// CounterT's signedness — the representation all mod-2^64 level
   /// arithmetic runs in.
@@ -770,111 +689,15 @@ class CounterTable {
     AddAtFlat(flat, CounterT{1});
   }
 
-  static void SpillUnitThunk(void* ctx, std::uint64_t flat) {
-    static_cast<CounterTable*>(ctx)->SpillUnit(
-        static_cast<std::size_t>(flat));
-  }
-
   /// Narrow-cell batched unit add: same cache blocking and micro-block
   /// pipeline as the 64-bit path, with a stop-pattern check per increment.
-  /// `kLog2Cpw` is log2(cells per 32-bit word) for the packed kernel.
-  template <typename PhysT, unsigned kLog2Cpw>
-  void AddPrehashedNarrow(PhysT* level, const PrehashedItem* data,
+  template <typename PhysT>
+  void AddPrehashedNarrow(PhysT* level, const std::uint64_t* hashes,
                           std::size_t n, const kernels::KernelTable& k) {
     constexpr PhysT kStop =
         std::is_signed_v<CounterT>
             ? static_cast<PhysT>(static_cast<PhysT>(~PhysT{0}) >> 1)
             : static_cast<PhysT>(~PhysT{0});
-    constexpr std::uint32_t kCellMask = static_cast<std::uint32_t>(
-        (std::uint64_t{1} << (8 * sizeof(PhysT))) - 1);
-    const bool pow2 = options_.pow2_width;
-    if (k.isa != simd::Isa::kScalar) {
-      std::uint64_t idx[2][kernels::kMicroBlockItems];
-      for (std::size_t base = 0; base < n; base += kBlockItems) {
-        const std::size_t m = std::min(kBlockItems, n - base);
-        const PrehashedItem* const block = data + base;
-        for (int r = 0; r < depth_; ++r) {
-          const std::uint64_t row_base =
-              static_cast<std::uint64_t>(r) * width_;
-          PhysT* const row = level + row_base;
-          const std::uint64_t seed = row_seeds_[static_cast<std::size_t>(r)];
-          kernels::MicroBlockPipeline(
-              block, m,
-              [&](const PrehashedItem* p, std::size_t mm, int slot) {
-                if (pow2) {
-                  k.bucket_row_mask(p, mm, seed, mask_, idx[slot]);
-                } else {
-                  k.bucket_row(p, mm, seed, width_, idx[slot]);
-                }
-              },
-              [&](int slot, std::size_t mm) {
-                const std::uint64_t* const buf = idx[slot];
-                if (k.inc_row_packed != nullptr) {
-                  k.inc_row_packed(level, row_base, buf, mm, kLog2Cpw,
-                                   kCellMask,
-                                   static_cast<std::uint32_t>(kStop),
-                                   &CounterTable::SpillUnitThunk, this);
-                  return;
-                }
-                for (std::size_t i = 0; i < mm; ++i) {
-                  const PhysT v = row[buf[i]];
-                  if (v == kStop) {
-                    SpillUnit(static_cast<std::size_t>(row_base + buf[i]));
-                  } else {
-                    row[buf[i]] = static_cast<PhysT>(v + PhysT{1});
-                  }
-                }
-              });
-        }
-      }
-      return;
-    }
-    for (std::size_t base = 0; base < n; base += kBlockItems) {
-      const std::size_t m = std::min(kBlockItems, n - base);
-      const PrehashedItem* const block = data + base;
-      for (int r = 0; r < depth_; ++r) {
-        const std::uint64_t row_base = static_cast<std::uint64_t>(r) * width_;
-        PhysT* const row = level + row_base;
-        const std::uint64_t seed = row_seeds_[static_cast<std::size_t>(r)];
-        if (pow2) {
-          const std::uint64_t mask = mask_;
-          for (std::size_t i = 0; i < m; ++i) {
-            const std::uint64_t b = RemixHash(block[i].hash, seed) & mask;
-            const PhysT v = row[b];
-            if (v == kStop) {
-              SpillUnit(static_cast<std::size_t>(row_base + b));
-            } else {
-              row[b] = static_cast<PhysT>(v + PhysT{1});
-            }
-          }
-        } else {
-          const std::uint64_t width = width_;
-          for (std::size_t i = 0; i < m; ++i) {
-            const std::uint64_t b =
-                FastRange64(RemixHash(block[i].hash, seed), width);
-            const PhysT v = row[b];
-            if (v == kStop) {
-              SpillUnit(static_cast<std::size_t>(row_base + b));
-            } else {
-              row[b] = static_cast<PhysT>(v + PhysT{1});
-            }
-          }
-        }
-      }
-    }
-  }
-
-  /// SoA twin of AddPrehashedNarrow: identical replay (packed kernel or
-  /// stop-checked scalar), only the derive stage reads a bare hash column.
-  template <typename PhysT, unsigned kLog2Cpw>
-  void AddPrehashedNarrowCols(PhysT* level, const std::uint64_t* hashes,
-                              std::size_t n, const kernels::KernelTable& k) {
-    constexpr PhysT kStop =
-        std::is_signed_v<CounterT>
-            ? static_cast<PhysT>(static_cast<PhysT>(~PhysT{0}) >> 1)
-            : static_cast<PhysT>(~PhysT{0});
-    constexpr std::uint32_t kCellMask = static_cast<std::uint32_t>(
-        (std::uint64_t{1} << (8 * sizeof(PhysT))) - 1);
     const bool pow2 = options_.pow2_width;
     if (k.isa != simd::Isa::kScalar) {
       std::uint64_t idx[2][kernels::kMicroBlockItems];
@@ -897,13 +720,6 @@ class CounterTable {
               },
               [&](int slot, std::size_t mm) {
                 const std::uint64_t* const buf = idx[slot];
-                if (k.inc_row_packed != nullptr) {
-                  k.inc_row_packed(level, row_base, buf, mm, kLog2Cpw,
-                                   kCellMask,
-                                   static_cast<std::uint32_t>(kStop),
-                                   &CounterTable::SpillUnitThunk, this);
-                  return;
-                }
                 for (std::size_t i = 0; i < mm; ++i) {
                   const PhysT v = row[buf[i]];
                   if (v == kStop) {

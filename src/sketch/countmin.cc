@@ -59,39 +59,19 @@ void CountMinSketch::Update(const PrehashedItem& ph, count_t count) {
   table_.AddConservative(ph, count);
 }
 
-void CountMinSketch::UpdateBatch(const item_t* data, std::size_t n) {
-  ForEachPrehashedChunkCols(data, n,
-                            [this](PrehashedColumns cols, std::size_t m) {
-    UpdatePrehashed(cols, m);
-  });
-}
-
-void CountMinSketch::UpdatePrehashed(const PrehashedItem* data,
-                                     std::size_t n) {
+void CountMinSketch::UpdatePrehashed(PrehashedColumns cols, std::size_t n) {
   if (conservative_update_) {
     // Conservative update reads the current minimum before writing, so it
     // stays a per-item loop — but each item's prehash is still shared
     // across the read and write passes.
-    for (std::size_t i = 0; i < n; ++i) {
-      table_.AddConservative(data[i], 1);
-    }
-    total_ += n;
-    return;
-  }
-  table_.AddPrehashed(data, n);
-  total_ += n;
-}
-
-void CountMinSketch::UpdatePrehashed(PrehashedColumns cols, std::size_t n) {
-  if (conservative_update_) {
     for (std::size_t i = 0; i < n; ++i) {
       table_.AddConservative(cols.At(i), 1);
     }
     total_ += n;
     return;
   }
-  // Plain CountMin never reads the item identity on ingest, so the SoA
-  // path hands the table the hash column alone.
+  // Plain CountMin never reads the item identity on ingest, so the table
+  // takes the hash column alone.
   table_.AddPrehashed(cols.hashes, n);
   total_ += n;
 }
@@ -224,17 +204,6 @@ void CountMinHeavyHitters::Update(const PrehashedItem& ph, count_t count) {
       0.5 * phi_ * static_cast<double>(sketch_.TotalCount())) {
     MaybeInsert(ph.item, est);
   }
-}
-
-void CountMinHeavyHitters::UpdateBatch(const item_t* data, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) Update(MakePrehashed(data[i]));
-}
-
-void CountMinHeavyHitters::UpdatePrehashed(const PrehashedItem* data,
-                                           std::size_t n) {
-  // Candidate tracking interleaves a read after every write, so the loop is
-  // per-item — but sketch add and estimate reuse the caller's prehash.
-  for (std::size_t i = 0; i < n; ++i) Update(data[i]);
 }
 
 void CountMinHeavyHitters::UpdatePrehashed(PrehashedColumns cols,

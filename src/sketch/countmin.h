@@ -66,17 +66,10 @@ class CountMinSketch {
   /// prehash, so only the cheap per-row derivations remain.
   void Update(const PrehashedItem& ph, count_t count = 1);
 
-  /// Adds `n` contiguous elements. Equivalent to `n` calls to Update but
-  /// prehashes the batch in stack-sized chunks and walks the counter table
-  /// row-major and cache-blocked.
-  void UpdateBatch(const item_t* data, std::size_t n);
-
   /// Adds `n` already-prehashed elements (each with count 1). The columnar
-  /// hot path: no hashing beyond the per-row remix.
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n);
-
-  /// SoA form of the columnar hot path: bucket derivation reads only the
-  /// hash column, through unit-stride SIMD kernels.
+  /// hot path: no hashing beyond the per-row remix, and bucket derivation
+  /// reads only the hash column, through unit-stride SIMD kernels, while
+  /// the counter table is walked row-major and cache-blocked.
   void UpdatePrehashed(PrehashedColumns cols, std::size_t n);
 
   /// Zeroes all counters; geometry, seed and hash derivations are kept.
@@ -163,14 +156,9 @@ class CountMinHeavyHitters {
   /// prehash.
   void Update(const PrehashedItem& ph, count_t count = 1);
 
-  /// Feeds `n` contiguous elements (per-item candidate tracking keeps this
-  /// a per-item loop, but each item is prehashed once, not once per pass).
-  void UpdateBatch(const item_t* data, std::size_t n);
-
-  /// Feeds `n` already-prehashed elements.
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n);
-
-  /// SoA form: per-item candidate tracking, rebuilt pairs from the columns.
+  /// Feeds `n` already-prehashed elements. Candidate tracking interleaves a
+  /// read after every write, so this is a per-item loop over pairs rebuilt
+  /// from the columns; sketch add and estimate reuse the caller's prehash.
   void UpdatePrehashed(PrehashedColumns cols, std::size_t n);
 
   /// Merges a tracker with the same phi, geometry and seed: sketches add,

@@ -170,14 +170,7 @@ void CountSketch::UpdateAndEstimate(PrehashedColumns cols, std::size_t n,
   total_ += count * static_cast<std::int64_t>(n);
 }
 
-void CountSketch::UpdateBatch(const item_t* data, std::size_t n) {
-  ForEachPrehashedChunkCols(data, n,
-                            [this](PrehashedColumns cols, std::size_t m) {
-    UpdatePrehashed(cols, m);
-  });
-}
-
-void CountSketch::UpdatePrehashed(const PrehashedItem* data, std::size_t n) {
+void CountSketch::UpdatePrehashed(PrehashedColumns cols, std::size_t n) {
   constexpr std::size_t kBlock = CounterTable<std::int64_t>::kBlockItems;
   const kernels::KernelTable& k = kernels::Dispatch();
   const bool k64 = table_.cell_width() == CellWidth::k64;
@@ -187,105 +180,12 @@ void CountSketch::UpdatePrehashed(const PrehashedItem* data, std::size_t n) {
     // micro-block stack buffers via the shared double-buffered pipeline
     // (kernels::MicroBlockPipeline), then replay the order-sensitive cell
     // and row-norm updates serially in stream order — bit-identical to the
-    // scalar loop (same FP accumulation order for the row norms). Narrow
-    // cells replay through the logical AtFlat/AddAtFlat view, which equals
-    // the 64-bit cell value exactly (mod-2^64 level sums), so the norm
-    // stream is unchanged; the packed increment kernel stays out of this
-    // path because the norm update is inherently serial.
-    std::uint64_t idx[2][kernels::kMicroBlockItems];
-    std::int64_t sgn[2][kernels::kMicroBlockItems];
-    for (std::size_t base = 0; base < n; base += kBlock) {
-      const std::size_t m = std::min(kBlock, n - base);
-      const PrehashedItem* const block = data + base;
-      for (int r = 0; r < depth_; ++r) {
-        const auto rr = static_cast<std::size_t>(r);
-        std::int64_t* const row = k64 ? table_.Row(r) : nullptr;
-        const std::uint64_t row_base =
-            static_cast<std::uint64_t>(r) * width_;
-        const std::uint64_t row_seed = table_.row_seed(r);
-        // PolynomialHash stores exactly the 4 coefficients, constant term
-        // first — the layout sign_row4 reads.
-        const std::uint64_t* const row_coeffs =
-            sign_hashes_[rr].coefficients().data();
-        double sumsq = row_sumsq_[rr];
-        kernels::MicroBlockPipeline(
-            block, m,
-            [&](const PrehashedItem* p, std::size_t mm, int slot) {
-              if (pow2) {
-                k.bucket_row_mask(p, mm, row_seed, width_ - 1, idx[slot]);
-              } else {
-                k.bucket_row(p, mm, row_seed, width_, idx[slot]);
-              }
-              k.sign_row4(p, mm, row_coeffs, sgn[slot]);
-            },
-            [&](int slot, std::size_t mm) {
-              if (k64) {
-                for (std::size_t i = 0; i < mm; ++i) {
-                  std::int64_t& cell = row[idx[slot][i]];
-                  const std::int64_t delta = sgn[slot][i];
-                  sumsq += static_cast<double>(2 * cell * delta + 1);
-                  cell += delta;
-                }
-                return;
-              }
-              for (std::size_t i = 0; i < mm; ++i) {
-                const std::size_t flat =
-                    static_cast<std::size_t>(row_base + idx[slot][i]);
-                const std::int64_t cell = table_.AtFlat(flat);
-                const std::int64_t delta = sgn[slot][i];
-                sumsq += static_cast<double>(2 * cell * delta + 1);
-                table_.AddAtFlat(flat, delta);
-              }
-            });
-        row_sumsq_[rr] = sumsq;
-      }
-    }
-    total_ += static_cast<std::int64_t>(n);
-    return;
-  }
-  for (std::size_t base = 0; base < n; base += kBlock) {
-    const std::size_t m = std::min(kBlock, n - base);
-    const PrehashedItem* const block = data + base;
-    for (int r = 0; r < depth_; ++r) {
-      const auto rr = static_cast<std::size_t>(r);
-      std::int64_t* const row = k64 ? table_.Row(r) : nullptr;
-      const std::uint64_t row_base = static_cast<std::uint64_t>(r) * width_;
-      const std::uint64_t row_seed = table_.row_seed(r);
-      const PolynomialHash& sign_hash = sign_hashes_[rr];
-      double sumsq = row_sumsq_[rr];
-      for (std::size_t i = 0; i < m; ++i) {
-        const std::uint64_t h = RemixHash(block[i].hash, row_seed);
-        const std::uint64_t b =
-            pow2 ? (h & (width_ - 1)) : FastRange64(h, width_);
-        const std::int64_t delta = sign_hash.Sign(block[i].item);
-        if (k64) {
-          std::int64_t& cell = row[b];
-          sumsq += static_cast<double>(2 * cell * delta + 1);
-          cell += delta;
-        } else {
-          const std::size_t flat = static_cast<std::size_t>(row_base + b);
-          const std::int64_t cell = table_.AtFlat(flat);
-          sumsq += static_cast<double>(2 * cell * delta + 1);
-          table_.AddAtFlat(flat, delta);
-        }
-      }
-      row_sumsq_[rr] = sumsq;
-    }
-  }
-  total_ += static_cast<std::int64_t>(n);
-}
-
-void CountSketch::UpdatePrehashed(PrehashedColumns cols, std::size_t n) {
-  constexpr std::size_t kBlock = CounterTable<std::int64_t>::kBlockItems;
-  const kernels::KernelTable& k = kernels::Dispatch();
-  const bool k64 = table_.cell_width() == CellWidth::k64;
-  const bool pow2 = table_.pow2_width();
-  if (k.isa != simd::Isa::kScalar) {
-    // SoA vector path: same pipeline and replay as the AoS overload, but
-    // the derive stage reads two parallel columns (buckets from the hash
-    // column, signs from the item column) through the `_cols` kernels —
-    // unit-stride loads, no deinterleave shuffles. The pipeline cursor is
-    // a plain offset because one derive consumes both columns.
+    // scalar loop (same FP accumulation order for the row norms). The
+    // derive stage reads two parallel columns (buckets from the hash
+    // column, signs from the item column), so the pipeline cursor is a
+    // plain offset. Narrow cells replay through the logical
+    // AtFlat/AddAtFlat view, which equals the 64-bit cell value exactly
+    // (mod-2^64 level sums), so the norm stream is unchanged.
     std::uint64_t idx[2][kernels::kMicroBlockItems];
     std::int64_t sgn[2][kernels::kMicroBlockItems];
     for (std::size_t base = 0; base < n; base += kBlock) {
@@ -298,6 +198,8 @@ void CountSketch::UpdatePrehashed(PrehashedColumns cols, std::size_t n) {
         const std::uint64_t row_base =
             static_cast<std::uint64_t>(r) * width_;
         const std::uint64_t row_seed = table_.row_seed(r);
+        // PolynomialHash stores exactly the 4 coefficients, constant term
+        // first — the layout sign_row4_cols reads.
         const std::uint64_t* const row_coeffs =
             sign_hashes_[rr].coefficients().data();
         double sumsq = row_sumsq_[rr];
@@ -591,19 +493,10 @@ void CountSketchHeavyHitters::Update(const PrehashedItem& ph, count_t count) {
   }
 }
 
-void CountSketchHeavyHitters::UpdateBatch(const item_t* data, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) Update(MakePrehashed(data[i]));
-}
-
-void CountSketchHeavyHitters::UpdatePrehashed(const PrehashedItem* data,
+void CountSketchHeavyHitters::UpdatePrehashed(PrehashedColumns cols,
                                               std::size_t n) {
   // Candidate tracking interleaves a read after every write, so the loop is
   // per-item — but sketch add and estimate reuse the caller's prehash.
-  for (std::size_t i = 0; i < n; ++i) Update(data[i]);
-}
-
-void CountSketchHeavyHitters::UpdatePrehashed(PrehashedColumns cols,
-                                              std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) Update(cols.At(i));
 }
 

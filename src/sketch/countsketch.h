@@ -73,19 +73,12 @@ class CountSketch {
   void UpdateAndEstimate(PrehashedColumns cols, std::size_t n,
                          std::int64_t count, double* estimates, double* f2);
 
-  /// Adds `n` contiguous elements (each with count 1): prehashes the batch
-  /// in stack-sized chunks, then runs the cache-blocked row-major loops.
-  void UpdateBatch(const item_t* data, std::size_t n);
-
   /// Adds `n` already-prehashed elements (each with count 1), row-major and
   /// cache-blocked: per row the counter pointer, row seed and sign hash are
   /// hoisted, so the inner loop is one remix, one sign evaluation and an
-  /// add.
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n);
-
-  /// SoA form: buckets derive from the hash column, signs from the item
-  /// column, both through unit-stride SIMD kernels; replay order — and
-  /// hence the FP row-norm stream — is identical to the AoS path.
+  /// add. Buckets derive from the hash column, signs from the item column,
+  /// both through unit-stride SIMD kernels; the replay order — and hence
+  /// the FP row-norm stream — is the stream order at every dispatch level.
   void UpdatePrehashed(PrehashedColumns cols, std::size_t n);
 
   /// Zeroes all counters and row norms; geometry and hashes are kept.
@@ -185,14 +178,9 @@ class CountSketchHeavyHitters {
   /// prehash.
   void Update(const PrehashedItem& ph, count_t count = 1);
 
-  /// Feeds `n` contiguous elements (per-item candidate tracking keeps this
-  /// a per-item loop, but each item is prehashed once, not once per pass).
-  void UpdateBatch(const item_t* data, std::size_t n);
-
-  /// Feeds `n` already-prehashed elements.
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n);
-
-  /// SoA form: per-item candidate tracking, rebuilt pairs from the columns.
+  /// Feeds `n` already-prehashed elements. Candidate tracking interleaves a
+  /// read after every write, so this is a per-item loop over pairs rebuilt
+  /// from the columns.
   void UpdatePrehashed(PrehashedColumns cols, std::size_t n);
 
   /// Merges a tracker with the same phi, geometry and seed: sketches add,

@@ -37,18 +37,8 @@ class EntropyMleEstimator {
     total_ += count;
   }
 
-  /// Feeds `n` contiguous elements.
-  void UpdateBatch(const item_t* data, std::size_t n) {
-    UpdateBatchByLoop(*this, data, n);
-  }
-
   /// Feeds `n` already-prehashed elements (the frequency map never
   /// consumes the prehash; scalar fallback keeps the paths bit-identical).
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n) {
-    UpdatePrehashedByLoop(*this, data, n);
-  }
-
-  /// SoA form: same scalar fallback over the item column.
   void UpdatePrehashed(PrehashedColumns cols, std::size_t n) {
     UpdatePrehashedColsByLoop(*this, cols, n);
   }
@@ -120,20 +110,9 @@ class AmsEntropySketch {
 
   void Update(item_t item);
 
-  /// Feeds `n` contiguous elements.
-  void UpdateBatch(const item_t* data, std::size_t n) {
-    UpdateBatchByLoop(*this, data, n);
-  }
-
   /// Feeds `n` already-prehashed elements (the reservoir is RNG-driven and
   /// never consumes the prehash; scalar fallback keeps the paths
   /// bit-identical, RNG sequence included).
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n) {
-    UpdatePrehashedByLoop(*this, data, n);
-  }
-
-  /// SoA form: same scalar fallback over the item column (RNG sequence
-  /// included).
   void UpdatePrehashed(PrehashedColumns cols, std::size_t n) {
     UpdatePrehashedColsByLoop(*this, cols, n);
   }

@@ -51,17 +51,8 @@ class HyperLogLog {
     Update(item);
   }
 
-  /// Feeds `n` contiguous elements.
-  void UpdateBatch(const item_t* data, std::size_t n) {
-    UpdateBatchByLoop(*this, data, n);
-  }
-
-  /// Feeds `n` already-prehashed elements.
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) Update(data[i]);
-  }
-
-  /// SoA form: register selection only reads the hash column.
+  /// Feeds `n` already-prehashed elements; register selection only reads
+  /// the hash column.
   void UpdatePrehashed(PrehashedColumns cols, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) Update(cols.At(i));
   }

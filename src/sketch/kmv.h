@@ -42,17 +42,8 @@ class KmvSketch {
     Update(item);
   }
 
-  /// Feeds `n` contiguous elements.
-  void UpdateBatch(const item_t* data, std::size_t n) {
-    UpdateBatchByLoop(*this, data, n);
-  }
-
-  /// Feeds `n` already-prehashed elements.
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) Update(data[i]);
-  }
-
-  /// SoA form: value derivation only reads the hash column.
+  /// Feeds `n` already-prehashed elements; value derivation only reads the
+  /// hash column.
   void UpdatePrehashed(PrehashedColumns cols, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) Update(cols.At(i));
   }

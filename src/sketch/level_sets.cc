@@ -96,32 +96,11 @@ void IndykWoodruffEstimator::RecordAdd(DepthSlot& slot, item_t item,
   }
 }
 
-void IndykWoodruffEstimator::UpdateBatch(const item_t* data, std::size_t n) {
-  ForEachPrehashedChunkCols(data, n, [this](PrehashedColumns cols,
-                                            std::size_t m) {
-    UpdateChunk(cols, m, 1);
-  });
-}
-
-void IndykWoodruffEstimator::UpdatePrehashed(const PrehashedItem* data,
-                                             std::size_t n, count_t count) {
-  std::uint64_t items[kPrehashChunkItems];
-  std::uint64_t hashes[kPrehashChunkItems];
-  for (std::size_t base = 0; base < n; base += kPrehashChunkItems) {
-    const std::size_t m = std::min(kPrehashChunkItems, n - base);
-    for (std::size_t i = 0; i < m; ++i) {
-      items[i] = data[base + i].item;
-      hashes[i] = data[base + i].hash;
-    }
-    UpdateChunk(PrehashedColumns{items, hashes}, m, count);
-  }
-}
-
 void IndykWoodruffEstimator::UpdatePrehashed(PrehashedColumns cols,
-                                             std::size_t n, count_t count) {
+                                             std::size_t n, count_t weight) {
   for (std::size_t base = 0; base < n; base += kPrehashChunkItems) {
     UpdateChunk(PrehashedColumns{cols.items + base, cols.hashes + base},
-                std::min(kPrehashChunkItems, n - base), count);
+                std::min(kPrehashChunkItems, n - base), weight);
   }
 }
 

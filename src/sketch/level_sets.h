@@ -100,17 +100,9 @@ class IndykWoodruffEstimator {
   /// the reference the column path below is pinned against.
   void Update(const PrehashedItem& ph, count_t count);
 
-  /// Feeds `n` contiguous elements through the column path, each item
-  /// prehashed once.
-  void UpdateBatch(const item_t* data, std::size_t n);
-
-  /// AoS form: deinterleaves into column chunks for the column path.
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n,
-                       count_t count = 1);
-
-  /// Column ingest, each item carrying `count` units; the resulting state
+  /// Column ingest, each item carrying `weight` units; the resulting state
   /// (counters, row norms, exact maps, candidate pools) is byte-identical
-  /// to n per-item Update(cols.At(i), count) calls. Per chunk of up to
+  /// to n per-item Update(cols.At(i), weight) calls. Per chunk of up to
   /// kPrehashChunkItems items the depth column is computed once and
   /// stable-filtered into nested per-depth sub-columns (depth t holds the
   /// items of depth >= t, in stream order); each depth then runs one
@@ -119,7 +111,7 @@ class IndykWoodruffEstimator {
   /// returns. Depth slots share no state, so the depth-major order inside
   /// a chunk is unobservable.
   void UpdatePrehashed(PrehashedColumns cols, std::size_t n,
-                       count_t count = 1);
+                       count_t weight = 1);
 
   /// Clears all per-depth sketches, candidate pools and exact maps;
   /// parameters, eta and hash functions are kept.
@@ -220,18 +212,8 @@ class ExactLevelSets {
   /// Weighted form: `count` occurrences at once (sampled-ingest survivors).
   void Update(item_t item, count_t count);
 
-  /// Feeds `n` contiguous elements.
-  void UpdateBatch(const item_t* data, std::size_t n) {
-    UpdateBatchByLoop(*this, data, n);
-  }
-
   /// Feeds `n` already-prehashed elements (exact counts never consume the
   /// prehash; scalar fallback keeps the paths bit-identical).
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n) {
-    UpdatePrehashedByLoop(*this, data, n);
-  }
-
-  /// SoA form: same scalar fallback over the item column.
   void UpdatePrehashed(PrehashedColumns cols, std::size_t n) {
     UpdatePrehashedColsByLoop(*this, cols, n);
   }

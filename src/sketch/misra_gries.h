@@ -24,18 +24,8 @@ class MisraGries {
 
   void Update(item_t item, count_t count = 1);
 
-  /// Feeds `n` contiguous elements.
-  void UpdateBatch(const item_t* data, std::size_t n) {
-    UpdateBatchByLoop(*this, data, n);
-  }
-
   /// Feeds `n` already-prehashed elements (the counter map never consumes
   /// the prehash; scalar fallback keeps the paths bit-identical).
-  void UpdatePrehashed(const PrehashedItem* data, std::size_t n) {
-    UpdatePrehashedByLoop(*this, data, n);
-  }
-
-  /// SoA form: same scalar fallback over the item column.
   void UpdatePrehashed(PrehashedColumns cols, std::size_t n) {
     UpdatePrehashedColsByLoop(*this, cols, n);
   }

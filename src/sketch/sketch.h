@@ -31,28 +31,23 @@
 ///    summaries additionally accept `Update(item, count)`; frequency-
 ///    insensitive summaries (KMV, HyperLogLog) accept and ignore the count
 ///    so generic call sites need not special-case them.
-///  - `void UpdateBatch(const item_t* data, std::size_t n)` — feed `n`
-///    contiguous elements. Semantically identical to `n` calls to
-///    `Update`, but sketches with array-shaped state (CountMin,
-///    CountSketch, AMS) specialize it into row-major tight loops that hoist
-///    hash/row lookups out of the per-item path.
-///  - `void UpdatePrehashed(const PrehashedItem* data, std::size_t n)` —
-///    feed `n` elements whose shared prehash (util/hash.h) was already
-///    computed by the caller. Bit-identical in effect to `UpdateBatch` on
-///    the same items: counter-array sketches derive their per-row buckets
-///    from `hash` via RemixHash (the same derivation their scalar `Update`
-///    performs internally), while map/heap/reservoir summaries fall back to
-///    `UpdatePrehashedByLoop`, which replays scalar `Update(item)`. This is
-///    the columnar entry point Monitor's two-stage ingest pipeline fans a
-///    prehashed batch through — one strong hash per item for the whole
-///    summary set instead of one per summary per row.
-///  - `void UpdatePrehashed(PrehashedColumns cols, std::size_t n)` — the
-///    SoA form of the same entry point: `cols.items[i]` / `cols.hashes[i]`
-///    as parallel arrays. Bit-identical in effect to the AoS overload on
-///    the same items; counter-array sketches run it through the `_cols`
-///    SIMD kernels (unit-stride loads instead of deinterleave shuffles),
-///    everything else falls back to `UpdatePrehashedColsByLoop`. This is
-///    what ShardedMonitor's column ring batches feed.
+///  - `void UpdatePrehashed(PrehashedColumns cols, std::size_t n)` — feed
+///    `n` elements as two parallel columns, `cols.items[i]` and the shared
+///    prehash `cols.hashes[i]` (util/hash.h) the caller already computed.
+///    The one batched entry point, bit-identical in effect to `n` calls to
+///    `Update(cols.items[i])`: counter-array sketches derive their per-row
+///    buckets from the hash column via RemixHash (the same derivation their
+///    scalar `Update` performs internally) through the SIMD row kernels,
+///    while map/heap/reservoir summaries fall back to
+///    `UpdatePrehashedColsByLoop`. Summaries that take weighted ingest
+///    (the F2/entropy/heavy-hitter estimators and the Monitor) add a third
+///    parameter `count_t weight = 1`: each element then carries `weight`
+///    units, and `weight == 1` runs the unweighted batched path. The
+///    Monitor facade's batched ingest and ShardedMonitor's column ring
+///    batches feed it — one strong hash per item for the whole summary set
+///    instead of one per summary per row. Callers holding raw items chunk
+///    them through `ForEachPrehashedChunkCols` (util/hash.h), or through
+///    `FeedItems` below.
 ///  - `void Merge(const S& other)` — fold `other` into `*this` so the
 ///    result summarizes the concatenated input. Preconditions (identical
 ///    geometry and seed) are enforced loudly via SUBSTREAM_CHECK: merging
@@ -99,25 +94,9 @@ struct HasUpdate<S, std::void_t<decltype(std::declval<S&>().Update(
                         std::declval<item_t>()))>> : std::true_type {};
 
 template <typename, typename = void>
-struct HasUpdateBatch : std::false_type {};
-template <typename S>
-struct HasUpdateBatch<
-    S, std::void_t<decltype(std::declval<S&>().UpdateBatch(
-           std::declval<const item_t*>(), std::declval<std::size_t>()))>>
-    : std::true_type {};
-
-template <typename, typename = void>
 struct HasUpdatePrehashed : std::false_type {};
 template <typename S>
 struct HasUpdatePrehashed<
-    S, std::void_t<decltype(std::declval<S&>().UpdatePrehashed(
-           std::declval<const PrehashedItem*>(), std::declval<std::size_t>()))>>
-    : std::true_type {};
-
-template <typename, typename = void>
-struct HasUpdatePrehashedCols : std::false_type {};
-template <typename S>
-struct HasUpdatePrehashedCols<
     S, std::void_t<decltype(std::declval<S&>().UpdatePrehashed(
            std::declval<PrehashedColumns>(), std::declval<std::size_t>()))>>
     : std::true_type {};
@@ -173,9 +152,7 @@ struct HasDeserialize<
 template <typename S>
 inline constexpr bool IsMergeableSummary =
     sketch_internal::HasUpdate<S>::value &&
-    sketch_internal::HasUpdateBatch<S>::value &&
     sketch_internal::HasUpdatePrehashed<S>::value &&
-    sketch_internal::HasUpdatePrehashedCols<S>::value &&
     sketch_internal::HasMerge<S>::value &&
     sketch_internal::HasMergeCompatibleWith<S>::value &&
     sketch_internal::HasReset<S>::value &&
@@ -187,9 +164,8 @@ inline constexpr bool IsMergeableSummary =
 #define SUBSTREAM_ASSERT_MERGEABLE_SUMMARY(S)                          \
   static_assert(::substream::IsMergeableSummary<S>,                    \
                 #S " does not satisfy the mergeable-summary contract "  \
-                   "(Update/UpdateBatch/UpdatePrehashed[AoS+SoA]/"      \
-                   "Merge/MergeCompatibleWith/Reset/SpaceBytes/"        \
-                   "Serialize/Deserialize)")
+                   "(Update/UpdatePrehashed/Merge/MergeCompatibleWith/" \
+                   "Reset/SpaceBytes/Serialize/Deserialize)")
 
 /// True when `w` is usable as a decayed-merge weight: finite, in (0, 1].
 /// Weight 1 is the ordinary (exact) merge; smaller weights scale the merged
@@ -224,32 +200,28 @@ inline CounterT ScaleCounter(CounterT count, double weight) {
   return static_cast<CounterT>(std::llround(scaled));
 }
 
-/// Default `UpdateBatch` body: the plain item-at-a-time loop. Summaries
-/// whose per-item work is pointer-chasing (hash maps, heaps, reservoirs)
-/// delegate to this; array-shaped sketches override with row-major loops.
-template <typename S>
-inline void UpdateBatchByLoop(S& summary, const item_t* data, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) summary.Update(data[i]);
-}
-
-/// Default `UpdatePrehashed` body: replays scalar `Update(item)` so the
-/// result is bit-identical to the scalar and batched paths. Summaries whose
-/// per-item work never consumes the prehash (hash maps, heaps, reservoirs)
-/// delegate to this; counter-array sketches override with loops that derive
-/// buckets from the prehash directly.
-template <typename S>
-inline void UpdatePrehashedByLoop(S& summary, const PrehashedItem* data,
-                                  std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) summary.Update(data[i].item);
-}
-
-/// Default SoA `UpdatePrehashed` body: the column-view twin of
-/// UpdatePrehashedByLoop — replays scalar `Update(item)` over the item
-/// column, so AoS and SoA ingestion of the same stream stay bit-identical.
+/// Default `UpdatePrehashed` body: replays scalar `Update(item)` over the
+/// item column, so the result is bit-identical to the per-item path.
+/// Summaries whose per-item work never consumes the prehash (hash maps,
+/// heaps, reservoirs) delegate to this; counter-array sketches override
+/// with loops that derive buckets from the hash column directly.
 template <typename S>
 inline void UpdatePrehashedColsByLoop(S& summary, PrehashedColumns cols,
                                       std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) summary.Update(cols.items[i]);
+}
+
+/// Feeds raw items to a summary through its one batched entry point:
+/// prehashes `data[0..n)` in chunks (ForEachPrehashedChunkCols) and hands
+/// each chunk to `summary.UpdatePrehashed`. For callers that batch-feed a
+/// bare summary (tests, benches, experiments); the Monitor facade has its
+/// own raw-item entry point.
+template <typename S>
+inline void FeedItems(S& summary, const item_t* data, std::size_t n) {
+  ForEachPrehashedChunkCols(data, n, [&summary](PrehashedColumns cols,
+                                                std::size_t m) {
+    summary.UpdatePrehashed(cols, m);
+  });
 }
 
 }  // namespace substream

@@ -27,11 +27,12 @@
 /// Bucket selection across all counter-array sketches runs through one
 /// strong 64-bit mix per item (PreHash) plus a cheap seeded remix per row
 /// (RemixHash) and a branch-free fast-range reduction (FastRange64). A
-/// `PrehashedItem` column computed once per batch feeds every summary in a
-/// Monitor, so ingest cost grows with useful counter work instead of with
-/// redundant per-sketch hashing. PreHash and RemixHash are bijections of
-/// the item identity, so distinctness is preserved exactly (KMV/HLL) and
-/// all occurrences of an item derive identical buckets everywhere.
+/// prehash column computed once per batch feeds every summary in a Monitor
+/// (PrehashedColumns), so ingest cost grows with useful counter work
+/// instead of with redundant per-sketch hashing. PreHash and RemixHash are
+/// bijections of the item identity, so distinctness is preserved exactly
+/// (KMV/HLL) and all occurrences of an item derive identical buckets
+/// everywhere.
 
 namespace substream {
 
@@ -66,9 +67,9 @@ inline std::uint64_t PreHash(std::uint64_t item) {
   return Mix64(item ^ kPrehashSalt);
 }
 
-/// A stream element paired with its prehash. The prehash column is computed
-/// once per batch (Monitor) or once per ring hop (ShardedMonitor) and every
-/// summary derives its per-row buckets from it via RemixHash.
+/// A stream element paired with its prehash: the argument of the per-item
+/// paths. Every summary derives its per-row buckets from `hash` via
+/// RemixHash.
 struct PrehashedItem {
   std::uint64_t item = 0;
   std::uint64_t hash = 0;
@@ -78,12 +79,12 @@ inline PrehashedItem MakePrehashed(std::uint64_t item) {
   return PrehashedItem{item, PreHash(item)};
 }
 
-/// Non-owning SoA view of a prehashed batch: `items[i]` pairs with
-/// `hashes[i]`. This is the batch payload of the columnar ingest paths —
-/// parallel arrays give the SIMD kernels unit-stride loads (one loadu per
-/// micro-block lane set) where the AoS `PrehashedItem[]` layout forced a
-/// deinterleave shuffle per load. `PrehashedItem` stays the per-item
-/// convenience; `At(i)` bridges to it for per-item fallback loops.
+/// Non-owning view of a prehashed batch as two parallel columns: `items[i]`
+/// pairs with `hashes[i]`. This is the batch payload of every batched
+/// ingest path — the prehash column is computed once per batch (Monitor)
+/// or once per ring hop (ShardedMonitor), and the parallel arrays give the
+/// SIMD kernels unit-stride loads. `At(i)` bridges to the per-item
+/// `PrehashedItem` for per-item fallback loops.
 struct PrehashedColumns {
   const std::uint64_t* items = nullptr;
   const std::uint64_t* hashes = nullptr;
@@ -93,16 +94,9 @@ struct PrehashedColumns {
   }
 };
 
-/// Fills `out[0..n)` with the prehashed column for `data[0..n)`.
-inline void PrehashColumn(const std::uint64_t* data, std::size_t n,
-                          PrehashedItem* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = PrehashedItem{data[i], PreHash(data[i])};
-  }
-}
-
 /// Fills `out_hashes[0..n)` with the prehash column for `data[0..n)`; the
-/// item column is `data` itself (SoA needs no copy of the identities).
+/// item column is `data` itself (the columns need no copy of the
+/// identities).
 inline void PrehashColumnSoA(const std::uint64_t* data, std::size_t n,
                              std::uint64_t* out_hashes) {
   for (std::size_t i = 0; i < n; ++i) out_hashes[i] = PreHash(data[i]);
@@ -113,25 +107,11 @@ inline void PrehashColumnSoA(const std::uint64_t* data, std::size_t n,
 inline constexpr std::size_t kPrehashChunkItems = 1024;
 
 /// Runs stage 1 of the columnar ingest pipeline: prehashes `data[0..n)` in
-/// stack-resident chunks and hands each chunk to `fn(column, m)`. Shared by
-/// every UpdateBatch that feeds an UpdatePrehashed fan-out, so the chunking
-/// policy cannot diverge between call sites.
-template <typename Fn>
-inline void ForEachPrehashedChunk(const std::uint64_t* data, std::size_t n,
-                                  Fn&& fn) {
-  PrehashedItem column[kPrehashChunkItems];
-  for (std::size_t base = 0; base < n; base += kPrehashChunkItems) {
-    const std::size_t m =
-        n - base < kPrehashChunkItems ? n - base : kPrehashChunkItems;
-    PrehashColumn(data + base, m, column);
-    fn(column, m);
-  }
-}
-
-/// SoA variant of ForEachPrehashedChunk: the same chunking policy, but each
-/// chunk arrives as a PrehashedColumns view (items aliased straight into
-/// `data`, hashes in a stack-resident column) so the consumer's SIMD rows
-/// take unit-stride loads.
+/// stack-resident chunks and hands each chunk to `fn(cols, m)` as a
+/// PrehashedColumns view (items aliased straight into `data`, hashes in a
+/// stack-resident column), so the consumer's SIMD rows take unit-stride
+/// loads. Shared by every caller that feeds raw items to an UpdatePrehashed
+/// fan-out, so the chunking policy cannot diverge between call sites.
 template <typename Fn>
 inline void ForEachPrehashedChunkCols(const std::uint64_t* data, std::size_t n,
                                       Fn&& fn) {

@@ -35,8 +35,7 @@ namespace substream {
 namespace simd {
 
 /// Dispatch levels, weakest first. kAvx512 requires AVX-512F + AVX-512DQ
-/// (the 64-bit multiply and compare forms the kernels use) + AVX-512CD
-/// (the lane-conflict detection the packed increment kernel uses).
+/// (the 64-bit multiply and compare forms the kernels use).
 enum class Isa : int {
   kScalar = 0,
   kAvx2 = 1,
@@ -84,8 +83,7 @@ inline bool Supported(Isa isa) {
       return __builtin_cpu_supports("avx2") != 0;
     case Isa::kAvx512:
       return __builtin_cpu_supports("avx512f") != 0 &&
-             __builtin_cpu_supports("avx512dq") != 0 &&
-             __builtin_cpu_supports("avx512cd") != 0;
+             __builtin_cpu_supports("avx512dq") != 0;
 #else
     case Isa::kAvx2:
     case Isa::kAvx512:

@@ -1,9 +1,9 @@
 /// Property test for the one-hash-per-item ingest pipeline: for EVERY
-/// summary class, the three ingest paths —
+/// summary class, the two ingest paths —
 ///   (a) scalar:    Update(item) per element,
-///   (b) batched:   UpdateBatch(data, n),
-///   (c) prehashed: PrehashColumn + UpdatePrehashed(column, n)
-/// — must leave the summary in bit-identical state. "Bit-identical" is
+///   (b) prehashed: PrehashColumnSoA + UpdatePrehashed(cols, n)
+/// — must leave the summary in bit-identical state, and so must the
+/// Monitor facade's third path, UpdateBatch(data, n). "Bit-identical" is
 /// asserted in the strongest available form: the serialized wire records
 /// (which include every counter, candidate pool, float row norm and RNG
 /// state) must match byte for byte, and estimates must compare EQ as
@@ -11,6 +11,7 @@
 /// pure factoring of work, never a change in semantics.
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,6 +30,7 @@
 #include "sketch/kmv.h"
 #include "sketch/level_sets.h"
 #include "sketch/misra_gries.h"
+#include "sketch/sketch.h"
 #include "sketch/space_saving.h"
 #include "stream/generators.h"
 #include "util/hash.h"
@@ -53,49 +55,65 @@ std::vector<std::uint8_t> Bytes(const S& summary) {
   return writer.Take();
 }
 
-/// Feeds the fixture stream through all three paths into freshly
-/// constructed summaries and asserts byte-identical serialized state.
+/// The prehash column of the fixture stream.
+const std::vector<std::uint64_t>& TestHashes() {
+  static const std::vector<std::uint64_t> hashes = [] {
+    const Stream& s = TestStream();
+    std::vector<std::uint64_t> h(s.size());
+    PrehashColumnSoA(s.data(), s.size(), h.data());
+    return h;
+  }();
+  return hashes;
+}
+
+/// Feeds the first `n` fixture items per item and as one column batch
+/// into freshly constructed summaries and asserts byte-identical
+/// serialized state.
 template <typename Factory>
-void ExpectThreePathEquivalence(Factory make) {
+void ExpectPathEquivalence(Factory make, std::size_t n = kItems) {
   const Stream& s = TestStream();
   auto scalar = make();
-  auto batched = make();
   auto prehashed = make();
 
-  for (item_t x : s) scalar.Update(x);
-  batched.UpdateBatch(s.data(), s.size());
-  std::vector<PrehashedItem> column(s.size());
-  PrehashColumn(s.data(), s.size(), column.data());
-  prehashed.UpdatePrehashed(column.data(), column.size());
+  for (std::size_t i = 0; i < n; ++i) scalar.Update(s[i]);
+  prehashed.UpdatePrehashed(PrehashedColumns{s.data(), TestHashes().data()},
+                            n);
 
-  EXPECT_EQ(Bytes(scalar), Bytes(batched))
-      << "scalar vs batched serialized state differs";
   EXPECT_EQ(Bytes(scalar), Bytes(prehashed))
-      << "scalar vs prehashed serialized state differs";
+      << "scalar vs prehashed serialized state differs at n=" << n;
+}
+
+MonitorConfig SmallMonitorConfig() {
+  MonitorConfig config;
+  config.p = 0.25;
+  config.universe = 1 << 14;
+  config.hh_alpha = 0.02;
+  config.max_f2_width = 1 << 10;
+  return config;
 }
 
 TEST(IngestEquivalenceTest, CountMinSketch) {
-  ExpectThreePathEquivalence([] {
+  ExpectPathEquivalence([] {
     return CountMinSketch(/*depth=*/4, /*width=*/512,
                           /*conservative_update=*/false, /*seed=*/7);
   });
 }
 
 TEST(IngestEquivalenceTest, CountMinSketchConservative) {
-  ExpectThreePathEquivalence([] {
+  ExpectPathEquivalence([] {
     return CountMinSketch(/*depth=*/4, /*width=*/512,
                           /*conservative_update=*/true, /*seed=*/7);
   });
 }
 
 TEST(IngestEquivalenceTest, CountMinCompactCells) {
-  // Compact-cell storage: all three ingest paths must agree byte-for-byte
+  // Compact-cell storage: both ingest paths must agree byte-for-byte
   // at every cell width, including the widths the Zipf head saturates
   // (the top item appears far more than 255 times in the fixture stream,
   // so u8 and u16 tables spill mid-stream on every path).
   for (CellWidth cw : {CellWidth::k8, CellWidth::k16, CellWidth::k32}) {
     for (bool pow2 : {false, true}) {
-      ExpectThreePathEquivalence([cw, pow2] {
+      ExpectPathEquivalence([cw, pow2] {
         return CountMinSketch(
             /*depth=*/4, /*width=*/512, /*conservative_update=*/false,
             /*seed=*/7,
@@ -108,7 +126,7 @@ TEST(IngestEquivalenceTest, CountMinCompactCells) {
 TEST(IngestEquivalenceTest, CountSketchCompactCells) {
   for (CellWidth cw : {CellWidth::k8, CellWidth::k16, CellWidth::k32}) {
     for (bool pow2 : {false, true}) {
-      ExpectThreePathEquivalence([cw, pow2] {
+      ExpectPathEquivalence([cw, pow2] {
         return CountSketch(/*depth=*/5, /*width=*/512, /*seed=*/13,
                            CounterTableOptions{cw, OverflowPolicy::kSpill,
                                                pow2});
@@ -124,20 +142,20 @@ TEST(IngestEquivalenceTest, CompactCellEstimatesMatchWide) {
   // point thousands of times over, so this exercises deep level chains.
   const Stream& s = TestStream();
   CountMinSketch wide(4, 512, false, 7);
-  wide.UpdateBatch(s.data(), s.size());
+  FeedItems(wide, s.data(), s.size());
   for (CellWidth cw : {CellWidth::k8, CellWidth::k16, CellWidth::k32}) {
     CountMinSketch narrow(4, 512, false, 7, CounterTableOptions{cw});
-    narrow.UpdateBatch(s.data(), s.size());
+    FeedItems(narrow, s.data(), s.size());
     for (item_t x = 0; x < 512; ++x) {
       ASSERT_EQ(narrow.Estimate(x), wide.Estimate(x))
           << "cell_bits=" << CellBits(cw) << " item=" << x;
     }
   }
   CountSketch wide_cs(5, 512, 13);
-  wide_cs.UpdateBatch(s.data(), s.size());
+  FeedItems(wide_cs, s.data(), s.size());
   for (CellWidth cw : {CellWidth::k8, CellWidth::k16, CellWidth::k32}) {
     CountSketch narrow(5, 512, 13, CounterTableOptions{cw});
-    narrow.UpdateBatch(s.data(), s.size());
+    FeedItems(narrow, s.data(), s.size());
     for (item_t x = 0; x < 512; ++x) {
       const PrehashedItem ph = MakePrehashed(x);
       ASSERT_EQ(narrow.Estimate(ph), wide_cs.Estimate(ph))
@@ -165,54 +183,54 @@ TEST(IngestEquivalenceTest, SaturateModeClampsAtCellMax) {
 }
 
 TEST(IngestEquivalenceTest, CountMinHeavyHitters) {
-  ExpectThreePathEquivalence(
+  ExpectPathEquivalence(
       [] { return CountMinHeavyHitters(0.02, 0.25, 0.05, 11); });
 }
 
 TEST(IngestEquivalenceTest, CountSketch) {
-  ExpectThreePathEquivalence(
+  ExpectPathEquivalence(
       [] { return CountSketch(/*depth=*/5, /*width=*/512, /*seed=*/13); });
 }
 
 TEST(IngestEquivalenceTest, CountSketchHeavyHitters) {
-  ExpectThreePathEquivalence(
+  ExpectPathEquivalence(
       [] { return CountSketchHeavyHitters(0.05, 0.25, 0.05, 17); });
 }
 
 TEST(IngestEquivalenceTest, HyperLogLog) {
-  ExpectThreePathEquivalence([] { return HyperLogLog(12, 19); });
+  ExpectPathEquivalence([] { return HyperLogLog(12, 19); });
 }
 
 TEST(IngestEquivalenceTest, KmvSketch) {
-  ExpectThreePathEquivalence([] { return KmvSketch(256, 23); });
+  ExpectPathEquivalence([] { return KmvSketch(256, 23); });
 }
 
 TEST(IngestEquivalenceTest, EntropyMleEstimator) {
-  ExpectThreePathEquivalence([] { return EntropyMleEstimator(); });
+  ExpectPathEquivalence([] { return EntropyMleEstimator(); });
 }
 
 TEST(IngestEquivalenceTest, AmsEntropySketch) {
   // RNG-driven reservoir: byte equality also pins that all three paths
   // consume the PRNG sequence identically.
-  ExpectThreePathEquivalence(
+  ExpectPathEquivalence(
       [] { return AmsEntropySketch::WithGeometry(5, 64, 29); });
 }
 
 TEST(IngestEquivalenceTest, AmsF2Sketch) {
-  ExpectThreePathEquivalence(
+  ExpectPathEquivalence(
       [] { return AmsF2Sketch::WithGeometry(5, 32, 31); });
 }
 
 TEST(IngestEquivalenceTest, MisraGries) {
-  ExpectThreePathEquivalence([] { return MisraGries(64); });
+  ExpectPathEquivalence([] { return MisraGries(64); });
 }
 
 TEST(IngestEquivalenceTest, SpaceSaving) {
-  ExpectThreePathEquivalence([] { return SpaceSaving(64); });
+  ExpectPathEquivalence([] { return SpaceSaving(64); });
 }
 
 TEST(IngestEquivalenceTest, IndykWoodruffEstimator) {
-  ExpectThreePathEquivalence([] {
+  ExpectPathEquivalence([] {
     LevelSetParams params;
     params.eps_prime = 0.25;
     params.max_depth = 10;
@@ -223,13 +241,13 @@ TEST(IngestEquivalenceTest, IndykWoodruffEstimator) {
 }
 
 TEST(IngestEquivalenceTest, ExactLevelSets) {
-  ExpectThreePathEquivalence([] { return ExactLevelSets(0.25, 0.5); });
+  ExpectPathEquivalence([] { return ExactLevelSets(0.25, 0.5); });
 }
 
 TEST(IngestEquivalenceTest, F0EstimatorAllBackends) {
   for (F0Backend backend :
        {F0Backend::kKmv, F0Backend::kHyperLogLog, F0Backend::kExact}) {
-    ExpectThreePathEquivalence([backend] {
+    ExpectPathEquivalence([backend] {
       F0Params params;
       params.p = 0.5;
       params.backend = backend;
@@ -241,7 +259,7 @@ TEST(IngestEquivalenceTest, F0EstimatorAllBackends) {
 }
 
 TEST(IngestEquivalenceTest, FkEstimatorSketchBackend) {
-  ExpectThreePathEquivalence([] {
+  ExpectPathEquivalence([] {
     FkParams params;
     params.k = 2;
     params.p = 0.5;
@@ -255,7 +273,7 @@ TEST(IngestEquivalenceTest, FkEstimatorSketchBackend) {
 TEST(IngestEquivalenceTest, EntropyEstimatorBothBackends) {
   for (EntropyBackend backend :
        {EntropyBackend::kMle, EntropyBackend::kAmsSketch}) {
-    ExpectThreePathEquivalence([backend] {
+    ExpectPathEquivalence([backend] {
       EntropyParams params;
       params.p = 0.5;
       params.backend = backend;
@@ -266,7 +284,7 @@ TEST(IngestEquivalenceTest, EntropyEstimatorBothBackends) {
 }
 
 TEST(IngestEquivalenceTest, F1HeavyHitterEstimator) {
-  ExpectThreePathEquivalence([] {
+  ExpectPathEquivalence([] {
     HeavyHitterParams params;
     params.alpha = 0.02;
     params.p = 0.5;
@@ -275,7 +293,7 @@ TEST(IngestEquivalenceTest, F1HeavyHitterEstimator) {
 }
 
 TEST(IngestEquivalenceTest, F2HeavyHitterEstimator) {
-  ExpectThreePathEquivalence([] {
+  ExpectPathEquivalence([] {
     HeavyHitterParams params;
     params.alpha = 0.1;
     params.p = 0.5;
@@ -284,19 +302,46 @@ TEST(IngestEquivalenceTest, F2HeavyHitterEstimator) {
 }
 
 TEST(IngestEquivalenceTest, MonitorFullPipeline) {
-  ExpectThreePathEquivalence([] {
-    MonitorConfig config;
-    config.p = 0.25;
-    config.universe = 1 << 14;
-    config.hh_alpha = 0.02;
-    config.max_f2_width = 1 << 10;
-    return Monitor(config, 61);
-  });
+  ExpectPathEquivalence([] { return Monitor(SmallMonitorConfig(), 61); });
+}
+
+TEST(IngestEquivalenceTest, MonitorPathsAtChunkBoundaries) {
+  // Monitor::UpdateBatch routes through the column chunker
+  // (ForEachPrehashedChunkCols); pin that it, and one column batch, match
+  // per-item Update byte-for-byte at the sizes that sit on the kernel
+  // boundaries: 0 and 1 (empty/degenerate), 63/64/65 (the 64-item
+  // micro-block edge), 1023/1024/1025 (the cache-block and prehash chunk
+  // edge). At the same sizes, a column batch at weight 8 counts 8 units
+  // per element in sampled_length but one raw update each, and leaves F0
+  // (unweighted inside Monitor) at the unweighted estimate.
+  constexpr std::size_t kBoundarySizes[] = {0,  1,    63,   64,
+                                            65, 1023, 1024, 1025};
+  constexpr count_t kWeight = 8;
+  const Stream& s = TestStream();
+  const PrehashedColumns cols{s.data(), TestHashes().data()};
+  for (std::size_t n : kBoundarySizes) {
+    ExpectPathEquivalence([] { return Monitor(SmallMonitorConfig(), 61); },
+                          n);
+    Monitor scalar(SmallMonitorConfig(), 61);
+    Monitor batched(SmallMonitorConfig(), 61);
+    for (std::size_t i = 0; i < n; ++i) scalar.Update(s[i]);
+    batched.UpdateBatch(s.data(), n);
+    EXPECT_EQ(Bytes(scalar), Bytes(batched)) << "n=" << n;
+
+    Monitor weighted(SmallMonitorConfig(), 61);
+    weighted.UpdatePrehashed(cols, n, kWeight);
+    const MonitorReport want = batched.Report();
+    const MonitorReport got = weighted.Report();
+    EXPECT_EQ(got.sampled_length, kWeight * n) << "n=" << n;
+    EXPECT_EQ(got.raw_updates, n) << "n=" << n;
+    ASSERT_TRUE(got.distinct_items.has_value());
+    EXPECT_EQ(*got.distinct_items, *want.distinct_items) << "n=" << n;
+  }
 }
 
 TEST(IngestEquivalenceTest, MonitorReportsMatchAcrossPaths) {
   // Beyond state bytes: the consolidated reports must compare EQ as
-  // doubles across all three ingest paths.
+  // doubles across all three Monitor ingest paths.
   MonitorConfig config;
   config.p = 0.25;
   config.universe = 1 << 14;
@@ -306,9 +351,8 @@ TEST(IngestEquivalenceTest, MonitorReportsMatchAcrossPaths) {
   Monitor scalar(config, 67), batched(config, 67), prehashed(config, 67);
   for (item_t x : s) scalar.Update(x);
   batched.UpdateBatch(s.data(), s.size());
-  std::vector<PrehashedItem> column(s.size());
-  PrehashColumn(s.data(), s.size(), column.data());
-  prehashed.UpdatePrehashed(column.data(), column.size());
+  prehashed.UpdatePrehashed(PrehashedColumns{s.data(), TestHashes().data()},
+                            s.size());
 
   const MonitorReport a = scalar.Report();
   const MonitorReport b = batched.Report();

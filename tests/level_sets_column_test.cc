@@ -1,6 +1,6 @@
 /// Byte-equality of the column ingest path of the level sets against the
 /// per-item reference. IndykWoodruffEstimator::UpdatePrehashed(cols, n,
-/// count) reorders work depth-major inside each chunk and runs one column
+/// weight) reorders work depth-major inside each chunk and runs one column
 /// CountSketch::UpdateAndEstimate per depth; neither may change a single
 /// serialized byte (counters, row norms, exact maps, candidate pools), at
 /// any cell width, weight, chunk boundary or dispatch level.
@@ -15,6 +15,7 @@
 #include "sketch/counter_kernels.h"
 #include "sketch/countsketch.h"
 #include "sketch/level_sets.h"
+#include "sketch/sketch.h"
 #include "stream/generators.h"
 #include "util/hash.h"
 #include "util/simd.h"
@@ -136,27 +137,25 @@ TEST(LevelSetsColumnTest, SevenRowsMatch) {
   ExpectColumnMatchesPerItem(params, 1);
 }
 
-TEST(LevelSetsColumnTest, AosAndBatchEntryPointsMatch) {
+TEST(LevelSetsColumnTest, ChunkedEntryPointsMatch) {
+  // Raw items chunked through FeedItems, and one multi-chunk weighted
+  // column batch, both against the per-item reference.
   const Stream& s = TestStream();
   const LevelSetParams params = SmallParams(CellWidth::k32, 256);
   IndykWoodruffEstimator reference(params, 43);
   for (item_t x : s) reference.Update(x);
-  const std::vector<std::uint8_t> want = Bytes(reference);
 
-  IndykWoodruffEstimator batch(params, 43);
-  batch.UpdateBatch(s.data(), s.size());
-  EXPECT_EQ(Bytes(batch), want);
+  IndykWoodruffEstimator chunked(params, 43);
+  FeedItems(chunked, s.data(), s.size());
+  EXPECT_EQ(Bytes(chunked), Bytes(reference));
 
-  std::vector<PrehashedItem> aos(s.size());
-  PrehashColumn(s.data(), s.size(), aos.data());
-  IndykWoodruffEstimator prehashed(params, 43);
-  prehashed.UpdatePrehashed(aos.data(), aos.size());
-  EXPECT_EQ(Bytes(prehashed), want);
-
+  std::vector<std::uint64_t> hashes(s.size());
+  PrehashColumnSoA(s.data(), s.size(), hashes.data());
   IndykWoodruffEstimator weighted(params, 43);
   IndykWoodruffEstimator weighted_ref(params, 43);
-  weighted.UpdatePrehashed(aos.data(), aos.size(), 8);
-  for (const PrehashedItem& ph : aos) weighted_ref.Update(ph, 8);
+  weighted.UpdatePrehashed(PrehashedColumns{s.data(), hashes.data()},
+                           s.size(), 8);
+  for (item_t x : s) weighted_ref.Update(MakePrehashed(x), 8);
   EXPECT_EQ(Bytes(weighted), Bytes(weighted_ref));
 }
 

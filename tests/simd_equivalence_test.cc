@@ -19,6 +19,7 @@
 /// interesting surface.
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -38,6 +39,7 @@
 #include "sketch/kmv.h"
 #include "sketch/level_sets.h"
 #include "sketch/misra_gries.h"
+#include "sketch/sketch.h"
 #include "sketch/space_saving.h"
 #include "stream/generators.h"
 #include "util/hash.h"
@@ -82,8 +84,8 @@ void ExpectDispatchEquivalence(Factory make) {
   DispatchGuard guard;
   for (std::size_t n : kSizes) {
     ASSERT_LE(n, s.size());
-    std::vector<PrehashedItem> column(n);
-    PrehashColumn(s.data(), n, column.data());
+    std::vector<std::uint64_t> hashes(n);
+    PrehashColumnSoA(s.data(), n, hashes.data());
 
     ASSERT_TRUE(kernels::SetActive(simd::Isa::kScalar));
     auto reference = make();
@@ -101,7 +103,7 @@ void ExpectDispatchEquivalence(Factory make) {
           << "per-item Update state differs from scalar reference";
 
       auto batched = make();
-      batched.UpdatePrehashed(column.data(), column.size());
+      batched.UpdatePrehashed(PrehashedColumns{s.data(), hashes.data()}, n);
       EXPECT_EQ(Bytes(batched), want)
           << "UpdatePrehashed state differs from scalar reference";
     }
@@ -114,8 +116,8 @@ void ExpectDispatchEquivalence(Factory make) {
 template <typename Factory>
 void ExpectDispatchEquivalenceOnStream(Factory make, const Stream& s) {
   DispatchGuard guard;
-  std::vector<PrehashedItem> column(s.size());
-  PrehashColumn(s.data(), s.size(), column.data());
+  std::vector<std::uint64_t> hashes(s.size());
+  PrehashColumnSoA(s.data(), s.size(), hashes.data());
 
   ASSERT_TRUE(kernels::SetActive(simd::Isa::kScalar));
   auto reference = make();
@@ -133,7 +135,8 @@ void ExpectDispatchEquivalenceOnStream(Factory make, const Stream& s) {
         << "per-item Update state differs from scalar reference";
 
     auto batched = make();
-    batched.UpdatePrehashed(column.data(), column.size());
+    batched.UpdatePrehashed(PrehashedColumns{s.data(), hashes.data()},
+                            s.size());
     EXPECT_EQ(Bytes(batched), want)
         << "UpdatePrehashed state differs from scalar reference";
   }
@@ -214,8 +217,8 @@ TEST(SimdEquivalenceTest, CountMinOddGeometries) {
 
 TEST(SimdEquivalenceTest, CountMinCellWidthMatrix) {
   // Full cell-width x bucket-placement matrix: every compact storage
-  // policy must stay byte-identical across dispatch levels (the packed
-  // AVX-512 increment kernel and the typed scalar loops share this gate).
+  // policy must stay byte-identical across dispatch levels (the vector
+  // index derivations and the typed scalar loops share this gate).
   for (CellWidth cw : {CellWidth::k8, CellWidth::k16, CellWidth::k32,
                        CellWidth::k64}) {
     for (bool pow2 : {false, true}) {
@@ -251,7 +254,7 @@ TEST(SimdEquivalenceTest, CountSketchCellWidthMatrix) {
 
 TEST(SimdEquivalenceTest, CountMinCellWidthNonPow2Width) {
   // Non-power-of-two width keeps fast-range placement in the narrow typed
-  // loops and the packed kernel's bucket derivation.
+  // loops and the vector bucket derivation.
   for (CellWidth cw : {CellWidth::k8, CellWidth::k16, CellWidth::k32}) {
     ExpectDispatchEquivalence([cw] {
       return CountMinSketch(/*depth=*/3, /*width=*/389,
@@ -264,7 +267,7 @@ TEST(SimdEquivalenceTest, CountMinCellWidthNonPow2Width) {
 TEST(SimdEquivalenceTest, CountMinSpillBoundary) {
   // Drive a hot bucket exactly to, one below, and one above a narrow
   // cell's saturation point under both overflow policies. The spill cold
-  // path must fire identically from the packed vector kernel's replay and
+  // path must fire identically from the vector levels' index replay and
   // from the scalar loops, and the resulting level chain (or saturated
   // cell) must serialize byte-equal at every dispatch level. The narrow
   // estimates must also match a 64-bit sketch of the same seed exactly
@@ -294,8 +297,8 @@ TEST(SimdEquivalenceTest, CountMinSpillBoundary) {
           kernels::SetActive(simd::Best());
           auto narrow = make();
           CountMinSketch wide(2, 512, false, 7);
-          narrow.UpdateBatch(s.data(), s.size());
-          wide.UpdateBatch(s.data(), s.size());
+          FeedItems(narrow, s.data(), s.size());
+          FeedItems(wide, s.data(), s.size());
           for (item_t x = 1; x < 64; ++x) {
             ASSERT_EQ(narrow.Estimate(x), wide.Estimate(x))
                 << "spill promotion changed the estimate of item " << x;
@@ -375,7 +378,7 @@ TEST(SimdEquivalenceTest, CountSketchPointEstimates) {
   DispatchGuard guard;
   ASSERT_TRUE(kernels::SetActive(simd::Isa::kScalar));
   CountSketch reference(5, 512, 13);
-  reference.UpdateBatch(s.data(), s.size());
+  FeedItems(reference, s.data(), s.size());
   std::vector<double> want;
   for (item_t x = 0; x < 64; ++x) {
     want.push_back(reference.Estimate(MakePrehashed(x)));
@@ -384,7 +387,7 @@ TEST(SimdEquivalenceTest, CountSketchPointEstimates) {
     ASSERT_TRUE(kernels::SetActive(isa));
     SCOPED_TRACE(simd::Name(isa));
     CountSketch sketch(5, 512, 13);
-    sketch.UpdateBatch(s.data(), s.size());
+    FeedItems(sketch, s.data(), s.size());
     for (item_t x = 0; x < 64; ++x) {
       EXPECT_EQ(sketch.Estimate(MakePrehashed(x)),
                 want[static_cast<std::size_t>(x)]);

@@ -172,13 +172,14 @@ TEST(PrehashTest, RemixedBucketsAreUniform) {
 
 TEST(PrehashTest, PrehashColumnMatchesMakePrehashed) {
   std::vector<std::uint64_t> data = {0, 1, 42, ~0ULL, 1ULL << 63};
-  std::vector<PrehashedItem> column(data.size());
-  PrehashColumn(data.data(), data.size(), column.data());
+  std::vector<std::uint64_t> hashes(data.size());
+  PrehashColumnSoA(data.data(), data.size(), hashes.data());
+  const PrehashedColumns cols{data.data(), hashes.data()};
   for (std::size_t i = 0; i < data.size(); ++i) {
     const PrehashedItem ph = MakePrehashed(data[i]);
-    EXPECT_EQ(column[i].item, ph.item);
-    EXPECT_EQ(column[i].hash, ph.hash);
-    EXPECT_EQ(column[i].item, data[i]);
+    EXPECT_EQ(cols.At(i).item, ph.item);
+    EXPECT_EQ(cols.At(i).hash, ph.hash);
+    EXPECT_EQ(cols.At(i).item, data[i]);
   }
 }
 
