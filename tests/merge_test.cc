@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "core/substream.h"
+#include "serde/serde.h"
 
 namespace substream {
 namespace {
@@ -205,6 +209,70 @@ TEST(MergeTest, MonitorMergeMatchesSingleMonitor) {
   EXPECT_NEAR(merged.entropy->entropy, whole.entropy->entropy, 1e-9);
   EXPECT_NEAR(*merged.second_moment, *whole.second_moment,
               0.15 * *whole.second_moment + 1.0);
+}
+
+// FNV-1a (64-bit) over a summary's wire record.
+template <typename S>
+std::uint64_t WireDigest(const S& summary) {
+  serde::Writer out;
+  summary.Serialize(out);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::uint8_t b : out.bytes()) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+struct MergedMonitorDigests {
+  std::uint64_t three_way;  // after merging shards 0-2
+  std::uint64_t decayed;    // then shards 3-5 at weights 0.8, 0.5, min
+};
+
+// Six shard monitors, each fed its own wide Zipf stream. The F2 width cap
+// of 16 gives per-depth candidate pools of 64, which fill and evict while
+// the shards merge; the CountMin heavy-hitter pool (capacity 194) fills
+// and evicts during the decayed merges. The smallest normal double is the
+// clamp WindowedMonitor::ReportDecayed applies to underflowing weights.
+MergedMonitorDigests MonitorMergeDigests(CellWidth cell_width) {
+  MonitorConfig config;
+  config.p = 1.0;
+  config.universe = 1 << 18;
+  config.max_f2_width = 16;
+  config.cell_width = cell_width;
+  std::vector<Monitor> shards;
+  for (std::uint64_t s = 0; s < 6; ++s) {
+    shards.emplace_back(config, 77);
+    ZipfGenerator gen(1 << 18, 0.7, 100 + s);
+    const Stream stream = Materialize(gen, 20000);
+    shards.back().UpdateBatch(stream.data(), stream.size());
+  }
+  Monitor merged(config, 77);
+  for (std::size_t s = 0; s < 3; ++s) merged.Merge(shards[s]);
+  MergedMonitorDigests digests;
+  digests.three_way = WireDigest(merged);
+  merged.MergeScaled(shards[3], 0.8);
+  merged.MergeScaled(shards[4], 0.5);
+  merged.MergeScaled(shards[5], std::numeric_limits<double>::min());
+  digests.decayed = WireDigest(merged);
+  return digests;
+}
+
+// Pins the exact merged and decayed-merged state bytes, so a refactor of
+// any merge body (counter adds, exact-map adds, candidate-pool unions and
+// evictions) that changes a single byte fails here. Eviction picks the
+// first minimum in unordered_map iteration order, so the digests assume
+// libstdc++'s hash table.
+TEST(MergedBytesTest, MonitorShardAndDecayedMergesPinned64) {
+  const MergedMonitorDigests d = MonitorMergeDigests(CellWidth::k64);
+  EXPECT_EQ(d.three_way, 0xfebc775ab93a266bULL);
+  EXPECT_EQ(d.decayed, 0x755dd2edb9156f93ULL);
+}
+
+TEST(MergedBytesTest, MonitorShardAndDecayedMergesPinned8) {
+  const MergedMonitorDigests d = MonitorMergeDigests(CellWidth::k8);
+  EXPECT_EQ(d.three_way, 0x61a4811046a6dd5bULL);
+  EXPECT_EQ(d.decayed, 0x43cb0752d52b4c63ULL);
 }
 
 using MergePreconditionDeathTest = ::testing::Test;
