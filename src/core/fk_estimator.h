@@ -87,18 +87,16 @@ class FkEstimator {
 
   /// Merges an estimator built with the same parameters and seed (the
   /// level-set backends merge under their own geometry/seed preconditions).
-  void Merge(const FkEstimator& other);
+  /// Decayed merge for windowed roll-ups: with `weight` in (0, 1), the
+  /// backend's linear counters contribute scaled by `weight` (rounded to
+  /// the counter domain), so the merged estimator approximates F_k of the
+  /// decayed stream — including cross-window collision terms, by
+  /// linearity of the underlying sketches.
+  void Merge(const FkEstimator& other, double weight = 1.0);
   /// True when Merge(other) preconditions hold, checked all the way
   /// down through nested summaries; the Collector uses this to reject
   /// decoded-but-incompatible records instead of tripping the abort.
   bool MergeCompatibleWith(const FkEstimator& other) const;
-
-  /// Decayed merge for windowed roll-ups: the backend's linear counters
-  /// contribute scaled by `weight` (rounded to the counter domain), so the
-  /// merged estimator approximates F_k of the decayed stream — including
-  /// cross-window collision terms, by linearity of the underlying sketches.
-  /// `weight` in (0, 1]; weight 1 delegates to Merge.
-  void MergeScaled(const FkEstimator& other, double weight);
 
   /// Clears all state; parameters, seed and backend are kept.
   void Reset();

@@ -87,25 +87,13 @@ bool F1HeavyHitterEstimator::MergeCompatibleWith(
          tracker_.MergeCompatibleWith(other.tracker_);
 }
 
-void F1HeavyHitterEstimator::Merge(const F1HeavyHitterEstimator& other) {
-  SUBSTREAM_CHECK_MSG(MergeCompatibleWith(other),
-                      "merging F1 heavy-hitter estimators with different "
-                      "configurations");
-  sampled_length_ += other.sampled_length_;
-  tracker_.Merge(other.tracker_);
-}
-
-void F1HeavyHitterEstimator::MergeScaled(const F1HeavyHitterEstimator& other,
-                                         double weight) {
-  if (weight == 1.0) {
-    Merge(other);
-    return;
-  }
+void F1HeavyHitterEstimator::Merge(const F1HeavyHitterEstimator& other,
+                                   double weight) {
   SUBSTREAM_CHECK_MSG(MergeCompatibleWith(other),
                       "merging F1 heavy-hitter estimators with different "
                       "configurations");
   sampled_length_ += ScaleCounter(other.sampled_length_, weight);
-  tracker_.MergeScaled(other.tracker_, weight);
+  tracker_.Merge(other.tracker_, weight);
 }
 
 void F1HeavyHitterEstimator::Reset() {
@@ -207,25 +195,13 @@ bool F2HeavyHitterEstimator::MergeCompatibleWith(
          tracker_.MergeCompatibleWith(other.tracker_);
 }
 
-void F2HeavyHitterEstimator::Merge(const F2HeavyHitterEstimator& other) {
-  SUBSTREAM_CHECK_MSG(MergeCompatibleWith(other),
-                      "merging F2 heavy-hitter estimators with different "
-                      "configurations");
-  sampled_length_ += other.sampled_length_;
-  tracker_.Merge(other.tracker_);
-}
-
-void F2HeavyHitterEstimator::MergeScaled(const F2HeavyHitterEstimator& other,
-                                         double weight) {
-  if (weight == 1.0) {
-    Merge(other);
-    return;
-  }
+void F2HeavyHitterEstimator::Merge(const F2HeavyHitterEstimator& other,
+                                   double weight) {
   SUBSTREAM_CHECK_MSG(MergeCompatibleWith(other),
                       "merging F2 heavy-hitter estimators with different "
                       "configurations");
   sampled_length_ += ScaleCounter(other.sampled_length_, weight);
-  tracker_.MergeScaled(other.tracker_, weight);
+  tracker_.Merge(other.tracker_, weight);
 }
 
 void F2HeavyHitterEstimator::Reset() {

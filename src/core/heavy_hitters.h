@@ -58,18 +58,15 @@ class F1HeavyHitterEstimator {
   void UpdatePrehashed(PrehashedColumns cols, std::size_t n,
                        count_t weight = 1);
 
-  /// Merges an estimator built with the same parameters and seed.
-  void Merge(const F1HeavyHitterEstimator& other);
+  /// Merges an estimator built with the same parameters and seed. Decayed
+  /// merge: with `weight` in (0, 1), CountMin counters contribute scaled by
+  /// `weight`; candidate pools re-estimate against the merged sketch, so
+  /// aged-out hitters fall below the reporting threshold naturally.
+  void Merge(const F1HeavyHitterEstimator& other, double weight = 1.0);
   /// True when Merge(other) preconditions hold, checked all the way
   /// down through nested summaries; the Collector uses this to reject
   /// decoded-but-incompatible records instead of tripping the abort.
   bool MergeCompatibleWith(const F1HeavyHitterEstimator& other) const;
-
-  /// Decayed merge: CountMin counters contribute scaled by `weight`;
-  /// candidate pools re-estimate against the merged sketch, so aged-out
-  /// hitters fall below the reporting threshold naturally. `weight` in
-  /// (0, 1]; weight 1 delegates to Merge.
-  void MergeScaled(const F1HeavyHitterEstimator& other, double weight);
 
   /// Clears all state; parameters and seed are kept.
   void Reset();
@@ -118,17 +115,14 @@ class F2HeavyHitterEstimator {
   void UpdatePrehashed(PrehashedColumns cols, std::size_t n,
                        count_t weight = 1);
 
-  /// Merges an estimator built with the same parameters and seed.
-  void Merge(const F2HeavyHitterEstimator& other);
+  /// Merges an estimator built with the same parameters and seed. Decayed
+  /// merge: with `weight` in (0, 1), CountSketch counters contribute scaled
+  /// by `weight`; candidate pools re-estimate against the merged sketch.
+  void Merge(const F2HeavyHitterEstimator& other, double weight = 1.0);
   /// True when Merge(other) preconditions hold, checked all the way
   /// down through nested summaries; the Collector uses this to reject
   /// decoded-but-incompatible records instead of tripping the abort.
   bool MergeCompatibleWith(const F2HeavyHitterEstimator& other) const;
-
-  /// Decayed merge: CountSketch counters contribute scaled by `weight`;
-  /// candidate pools re-estimate against the merged sketch. `weight` in
-  /// (0, 1]; weight 1 delegates to Merge.
-  void MergeScaled(const F2HeavyHitterEstimator& other, double weight);
 
   /// Clears all state; parameters and seed are kept.
   void Reset();

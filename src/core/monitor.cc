@@ -132,27 +132,10 @@ bool Monitor::MergeCompatibleWith(const Monitor& other) const {
   return true;
 }
 
-void Monitor::Merge(const Monitor& other) {
-  SUBSTREAM_CHECK_MSG(seed_ == other.seed_,
-                      "merging monitors with different seeds");
-  SUBSTREAM_CHECK_MSG(SameConfig(config_, other.config_),
-                      "merging monitors with different configurations");
-  sampled_length_ += other.sampled_length_;
-  raw_updates_ += other.raw_updates_;
-  if (f0_) f0_->Merge(*other.f0_);
-  if (f2_) f2_->Merge(*other.f2_);
-  if (entropy_) entropy_->Merge(*other.entropy_);
-  if (heavy_) heavy_->Merge(*other.heavy_);
-}
-
-void Monitor::MergeScaled(const Monitor& other, double weight) {
+void Monitor::Merge(const Monitor& other, double weight) {
   SUBSTREAM_CHECK_MSG(ValidMergeWeight(weight),
                       "monitor decayed-merge weight %f outside (0, 1]",
                       weight);
-  if (weight == 1.0) {
-    Merge(other);
-    return;
-  }
   SUBSTREAM_CHECK_MSG(seed_ == other.seed_,
                       "merging monitors with different seeds");
   SUBSTREAM_CHECK_MSG(SameConfig(config_, other.config_),
@@ -162,9 +145,9 @@ void Monitor::MergeScaled(const Monitor& other, double weight) {
   // Distinct-count state is a set: membership cannot be fractionally
   // decayed, so F0 merges unscaled and decays only by horizon eviction.
   if (f0_) f0_->Merge(*other.f0_);
-  if (f2_) f2_->MergeScaled(*other.f2_, weight);
-  if (entropy_) entropy_->MergeScaled(*other.entropy_, weight);
-  if (heavy_) heavy_->MergeScaled(*other.heavy_, weight);
+  if (f2_) f2_->Merge(*other.f2_, weight);
+  if (entropy_) entropy_->Merge(*other.entropy_, weight);
+  if (heavy_) heavy_->Merge(*other.heavy_, weight);
 }
 
 void Monitor::Reset() {

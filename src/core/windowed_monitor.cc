@@ -253,7 +253,7 @@ MonitorReport WindowedMonitor::ReportDecayed() const {
     const double weight =
         std::max(std::pow(options_.decay, static_cast<double>(age)),
                  std::numeric_limits<double>::min());
-    scratch.MergeScaled(WindowAt(age), weight);
+    scratch.Merge(WindowAt(age), weight);
   }
   return scratch.Report();
 }

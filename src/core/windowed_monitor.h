@@ -32,10 +32,10 @@
 ///     summaries) to a monolithic Monitor fed only those windows' items —
 ///     the property `tests/windowed_monitor_test.cc` pins byte-for-byte.
 ///   - **Exponential decay** (`ReportDecayed()`): the window of age a
-///     contributes its counters scaled by decay^a (Monitor::MergeScaled),
-///     i.e. the report approximates the monitor of the decayed stream.
-///     Distinct counts merge unscaled (set membership cannot decay) and
-///     age out only by ring eviction; see Monitor::MergeScaled.
+///     contributes its counters scaled by decay^a (`Monitor::Merge(w,
+///     decay^a)`), i.e. the report approximates the monitor of the decayed
+///     stream. Distinct counts merge unscaled (set membership cannot
+///     decay) and age out only by ring eviction; see Monitor::Merge.
 ///
 /// Each window is an ordinary Monitor, so the wire format and
 /// checkpointing work per window: `Serialize()` writes a container record

@@ -3,11 +3,11 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "obs/health.h"
+#include "sketch/candidate_pool.h"
 #include "sketch/cell_width.h"
 #include "sketch/counter_table.h"
 #include "sketch/sketch.h"
@@ -94,20 +94,16 @@ class CountSketch {
 
   /// Merges a sketch built with the same geometry and seed (linearity of
   /// CountSketch: the merged sketch equals the sketch of the concatenated
-  /// streams exactly).
-  void Merge(const CountSketch& other);
+  /// streams exactly). Decayed merge: with `weight` in (0, 1), every
+  /// counter of `other` contributes `round(weight * counter)`, so the
+  /// result is (up to rounding) the sketch of the weight-scaled stream —
+  /// including the cross terms a per-window F2 combination would miss. Row
+  /// norms are recomputed from the merged counters.
+  void Merge(const CountSketch& other, double weight = 1.0);
   /// True when Merge(other) preconditions hold, checked all the way
   /// down through nested summaries; the Collector uses this to reject
   /// decoded-but-incompatible records instead of tripping the abort.
   bool MergeCompatibleWith(const CountSketch& other) const;
-
-  /// Decayed merge: every counter of `other` contributes
-  /// `round(weight * counter)`. CountSketch is linear, so the result is
-  /// (up to rounding) the sketch of the weight-scaled stream — including
-  /// the cross terms a per-window F2 combination would miss. Row norms are
-  /// recomputed from the merged counters. `weight` in (0, 1]; weight 1
-  /// delegates to Merge.
-  void MergeScaled(const CountSketch& other, double weight);
 
   /// Median over rows of the row L2^2: an 8-approximation of F2 with
   /// constant probability per row, amplified by the median (standard
@@ -183,17 +179,14 @@ class CountSketchHeavyHitters {
   /// from the columns.
   void UpdatePrehashed(PrehashedColumns cols, std::size_t n);
 
-  /// Merges a tracker with the same phi, geometry and seed: sketches add,
-  /// candidate pools union (estimates refreshed from the merged sketch).
-  void Merge(const CountSketchHeavyHitters& other);
+  /// Merges a tracker with the same phi, geometry and seed: sketches add
+  /// (`weight`-scaled, for a decayed merge), candidate pools union with
+  /// both sides re-estimated against the merged sketch.
+  void Merge(const CountSketchHeavyHitters& other, double weight = 1.0);
   /// True when Merge(other) preconditions hold, checked all the way
   /// down through nested summaries; the Collector uses this to reject
   /// decoded-but-incompatible records instead of tripping the abort.
   bool MergeCompatibleWith(const CountSketchHeavyHitters& other) const;
-
-  /// Decayed merge: nested sketch merges with `weight`-scaled counters;
-  /// both candidate pools are re-estimated against the merged sketch.
-  void MergeScaled(const CountSketchHeavyHitters& other, double weight);
 
   /// Clears sketch counters and the candidate pool.
   void Reset();
@@ -216,11 +209,9 @@ class CountSketchHeavyHitters {
  private:
   double phi_;
   CountSketch sketch_;
-  std::unordered_map<item_t, double> candidates_;
-  std::size_t capacity_;
+  // Candidate pool: item -> last estimate, capacity ceil(8/phi^2) + 16.
+  CandidatePool<double> candidates_;
   count_t updates_ = 0;
-
-  void MaybeInsert(item_t item, double estimate);
 };
 
 SUBSTREAM_ASSERT_MERGEABLE_SUMMARY(CountSketch);

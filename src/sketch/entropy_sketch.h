@@ -33,6 +33,7 @@ class EntropyMleEstimator {
 
   /// Adds `count` occurrences of `item`.
   void Update(item_t item, count_t count) {
+    SUBSTREAM_CHECK(count >= 1);
     counts_[item] += count;
     total_ += count;
   }
@@ -43,14 +44,11 @@ class EntropyMleEstimator {
     UpdatePrehashedColsByLoop(*this, cols, n);
   }
 
-  /// Merges another frequency map (exact: counts add pointwise).
-  void Merge(const EntropyMleEstimator& other);
-
-  /// Decayed merge: counts add as `round(weight * count)` (entries
-  /// rounding to zero age out), so the estimate becomes the entropy of the
-  /// decayed empirical distribution. `weight` in (0, 1]; 1 delegates to
-  /// Merge.
-  void MergeScaled(const EntropyMleEstimator& other, double weight);
+  /// Merges another frequency map (exact: counts add pointwise). Decayed
+  /// merge: with `weight` in (0, 1), counts add as `round(weight * count)`
+  /// (entries rounding to zero age out), so the estimate becomes the
+  /// entropy of the decayed empirical distribution.
+  void Merge(const EntropyMleEstimator& other, double weight = 1.0);
   /// True when Merge(other) preconditions hold, checked all the way
   /// down through nested summaries; the Collector uses this to reject
   /// decoded-but-incompatible records instead of tripping the abort.

@@ -49,7 +49,7 @@ IndykWoodruffEstimator::IndykWoodruffEstimator(const LevelSetParams& params,
         CountSketch(params.cs_depth, params.cs_width,
                     DeriveSeed(seed, 0x100 + static_cast<std::uint64_t>(t)),
                     CounterTableOptions{params.cell_width}),
-        {},
+        CandidatePool<double>(candidate_capacity_),
         {},
         true});
   }
@@ -63,6 +63,7 @@ int IndykWoodruffEstimator::DepthOf(item_t item) const {
 }
 
 void IndykWoodruffEstimator::Update(const PrehashedItem& ph, count_t count) {
+  SUBSTREAM_CHECK(count >= 1);
   total_ += count;
   const item_t item = ph.item;
   const int item_depth = DepthOf(item);
@@ -87,17 +88,19 @@ void IndykWoodruffEstimator::RecordAdd(DepthSlot& slot, item_t item,
     }
   }
   // Only items that currently clear (half of) the recoverability
-  // threshold enter the candidate pool; this keeps insertions rare and
-  // the pool populated with genuinely heavy items.
+  // threshold, and whose estimate reaches one occurrence, enter the
+  // candidate pool; this keeps insertions rare and the pool populated with
+  // genuinely heavy items.
   const double threshold_sq = 0.5 * params_.heavy_factor * f2 /
                               static_cast<double>(params_.cs_width);
-  if (estimate * estimate >= threshold_sq) {
-    TrackCandidate(slot, item, estimate);
+  if (estimate * estimate >= threshold_sq && estimate >= 1.0) {
+    slot.candidates.Offer(item, estimate);
   }
 }
 
 void IndykWoodruffEstimator::UpdatePrehashed(PrehashedColumns cols,
                                              std::size_t n, count_t weight) {
+  SUBSTREAM_CHECK(weight >= 1);
   for (std::size_t base = 0; base < n; base += kPrehashChunkItems) {
     UpdateChunk(PrehashedColumns{cols.items + base, cols.hashes + base},
                 std::min(kPrehashChunkItems, n - base), weight);
@@ -146,32 +149,10 @@ void IndykWoodruffEstimator::UpdateChunk(PrehashedColumns cols, std::size_t n,
   }
 }
 
-void IndykWoodruffEstimator::TrackCandidate(DepthSlot& slot, item_t item,
-                                            double estimate) {
-  if (estimate < 1.0) return;
-  auto it = slot.candidates.find(item);
-  if (it != slot.candidates.end()) {
-    it->second = estimate;
-    return;
-  }
-  if (slot.candidates.size() < candidate_capacity_) {
-    slot.candidates.emplace(item, estimate);
-    return;
-  }
-  auto weakest = slot.candidates.begin();
-  for (auto jt = slot.candidates.begin(); jt != slot.candidates.end(); ++jt) {
-    if (jt->second < weakest->second) weakest = jt;
-  }
-  if (weakest->second < estimate) {
-    slot.candidates.erase(weakest);
-    slot.candidates.emplace(item, estimate);
-  }
-}
-
 void IndykWoodruffEstimator::Reset() {
   for (DepthSlot& slot : depths_) {
     slot.sketch.Reset();
-    slot.candidates.clear();
+    slot.candidates.Clear();
     slot.exact.clear();
     slot.exact_valid = true;
   }
@@ -197,52 +178,17 @@ bool IndykWoodruffEstimator::MergeCompatibleWith(
   return true;
 }
 
-void IndykWoodruffEstimator::Merge(const IndykWoodruffEstimator& other) {
-  SUBSTREAM_CHECK_MSG(MergeCompatibleWith(other),
-                      "merging incompatible level-set structures");
-  total_ += other.total_;
-  for (std::size_t t = 0; t < depths_.size(); ++t) {
-    DepthSlot& slot = depths_[t];
-    slot.sketch.Merge(other.depths_[t].sketch);
-    if (slot.exact_valid && other.depths_[t].exact_valid) {
-      for (const auto& [item, g] : other.depths_[t].exact) {
-        slot.exact[item] += g;
-      }
-      if (slot.exact.size() > exact_capacity_) {
-        slot.exact.clear();
-        slot.exact_valid = false;
-      }
-    } else if (slot.exact_valid) {
-      slot.exact.clear();
-      slot.exact_valid = false;
-    }
-    // Union candidate pools; estimates are refreshed from the merged
-    // sketch so stale values cannot mislead eviction.
-    for (const auto& [item, stale] : other.depths_[t].candidates) {
-      (void)stale;
-      TrackCandidate(slot, item, slot.sketch.Estimate(item));
-    }
-  }
-}
-
-void IndykWoodruffEstimator::MergeScaled(const IndykWoodruffEstimator& other,
-                                         double weight) {
-  if (weight == 1.0) {
-    Merge(other);
-    return;
-  }
+void IndykWoodruffEstimator::Merge(const IndykWoodruffEstimator& other,
+                                   double weight) {
   SUBSTREAM_CHECK_MSG(MergeCompatibleWith(other),
                       "merging incompatible level-set structures");
   total_ += ScaleCounter(other.total_, weight);
   for (std::size_t t = 0; t < depths_.size(); ++t) {
     DepthSlot& slot = depths_[t];
-    slot.sketch.MergeScaled(other.depths_[t].sketch, weight);
-    if (slot.exact_valid && other.depths_[t].exact_valid) {
-      for (const auto& [item, g] : other.depths_[t].exact) {
-        const count_t scaled = ScaleCounter(g, weight);
-        if (scaled == 0) continue;  // aged out of the decayed window
-        slot.exact[item] += scaled;
-      }
+    const DepthSlot& from = other.depths_[t];
+    slot.sketch.Merge(from.sketch, weight);  // validates the weight
+    if (slot.exact_valid && from.exact_valid) {
+      MergeCounts(slot.exact, from.exact, weight);
       if (slot.exact.size() > exact_capacity_) {
         slot.exact.clear();
         slot.exact_valid = false;
@@ -251,9 +197,13 @@ void IndykWoodruffEstimator::MergeScaled(const IndykWoodruffEstimator& other,
       slot.exact.clear();
       slot.exact_valid = false;
     }
-    for (const auto& [item, stale] : other.depths_[t].candidates) {
+    // Union candidate pools: `other`'s items are re-estimated against the
+    // merged sketch, but this side's held estimates are not refreshed
+    // (unlike the heavy-hitter trackers) — changing that moves merged bytes.
+    for (const auto& [item, stale] : from.candidates.map()) {
       (void)stale;
-      TrackCandidate(slot, item, slot.sketch.Estimate(item));
+      const double estimate = slot.sketch.Estimate(item);
+      if (estimate >= 1.0) slot.candidates.Offer(item, estimate);
     }
   }
 }
@@ -318,7 +268,7 @@ std::vector<LevelSetEstimate> IndykWoodruffEstimator::EstimateLevelSets()
         params_.heavy_factor * f2_at_depth[static_cast<std::size_t>(t_sketch)] /
         static_cast<double>(params_.cs_width);
     double members = 0.0;
-    for (const auto& [item, stale] : slot.candidates) {
+    for (const auto& [item, stale] : slot.candidates.map()) {
       (void)stale;
       const double g_hat = slot.sketch.Estimate(item);
       if (g_hat < 0.5) continue;
@@ -421,7 +371,7 @@ void IndykWoodruffEstimator::Serialize(serde::Writer& out) const {
   out.Varint(total_);
   for (const DepthSlot& slot : depths_) {
     slot.sketch.Serialize(out);
-    serde::WriteDoubleMap(out, slot.candidates);
+    serde::WriteDoubleMap(out, slot.candidates.map());
     serde::WriteCountMap(out, slot.exact);
     out.Bool(slot.exact_valid);
   }
@@ -477,11 +427,16 @@ std::optional<IndykWoodruffEstimator> IndykWoodruffEstimator::Deserialize(
       return std::nullopt;
     }
     slot.sketch = std::move(*sketch);
-    if (!serde::ReadDoubleMap(in, &slot.candidates)) return std::nullopt;
+    if (!serde::ReadDoubleMap(in, &slot.candidates.map())) {
+      return std::nullopt;
+    }
     if (!serde::ReadCountMap(in, &slot.exact)) return std::nullopt;
     slot.exact_valid = in.Bool();
+    // Exact counts are >= 1. Their sum is not checked against total_:
+    // decayed merges round each count and the total separately.
     if (slot.candidates.size() > estimator.candidate_capacity_ ||
-        slot.exact.size() > estimator.exact_capacity_) {
+        slot.exact.size() > estimator.exact_capacity_ ||
+        !CountMapMass(slot.exact)) {
       return std::nullopt;
     }
   }
@@ -493,7 +448,7 @@ std::size_t IndykWoodruffEstimator::SpaceBytes() const {
   std::size_t bytes = sizeof(*this) + depth_hash_.SpaceBytes();
   for (const DepthSlot& slot : depths_) {
     bytes += slot.sketch.SpaceBytes();
-    bytes += slot.candidates.size() * (sizeof(item_t) + sizeof(double));
+    bytes += slot.candidates.SpaceBytes();
     bytes += slot.exact.size() * (sizeof(item_t) + sizeof(count_t));
   }
   return bytes;
@@ -526,6 +481,7 @@ ExactLevelSets::ExactLevelSets(double eps_prime, double eta)
 }
 
 void ExactLevelSets::Update(item_t item, count_t count) {
+  SUBSTREAM_CHECK(count >= 1);
   counts_[item] += count;
   total_ += count;
 }
@@ -534,37 +490,14 @@ bool ExactLevelSets::MergeCompatibleWith(const ExactLevelSets& other) const {
   return eps_prime_ == other.eps_prime_ && eta_ == other.eta_;
 }
 
-void ExactLevelSets::Merge(const ExactLevelSets& other) {
-  SUBSTREAM_CHECK_MSG(MergeCompatibleWith(other),
-                      "merging level-set references with different "
-                      "discretizations");
-  for (const auto& [item, g] : other.counts_) {
-    counts_[item] += g;
-  }
-  total_ += other.total_;
-}
-
-void ExactLevelSets::MergeScaled(const ExactLevelSets& other, double weight) {
+void ExactLevelSets::Merge(const ExactLevelSets& other, double weight) {
   SUBSTREAM_CHECK_MSG(ValidMergeWeight(weight),
                       "level-set decayed-merge weight %f outside (0, 1]",
                       weight);
-  if (weight == 1.0) {
-    Merge(other);
-    return;
-  }
   SUBSTREAM_CHECK_MSG(MergeCompatibleWith(other),
                       "merging level-set references with different "
                       "discretizations");
-  count_t added = 0;
-  for (const auto& [item, g] : other.counts_) {
-    const count_t scaled = ScaleCounter(g, weight);
-    if (scaled == 0) continue;  // aged out of the decayed window
-    counts_[item] += scaled;
-    added += scaled;
-  }
-  // Keep the invariant total_ == sum of counts_ exact: per-item rounding
-  // means the sum of scaled counts differs from round(weight * total).
-  total_ += added;
+  total_ += MergeCounts(counts_, other.counts_, weight);
 }
 
 void ExactLevelSets::Serialize(serde::Writer& out) const {
@@ -587,6 +520,8 @@ std::optional<ExactLevelSets> ExactLevelSets::Deserialize(serde::Reader& in) {
   ExactLevelSets levels(eps_prime, eta);
   levels.total_ = total;
   if (!serde::ReadCountMap(in, &levels.counts_)) return std::nullopt;
+  // total_ is the sum of the counts, each at least 1.
+  if (CountMapMass(levels.counts_) != total) return std::nullopt;
   return levels;
 }
 

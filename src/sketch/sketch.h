@@ -52,7 +52,15 @@
 ///    result summarizes the concatenated input. Preconditions (identical
 ///    geometry and seed) are enforced loudly via SUBSTREAM_CHECK: merging
 ///    incompatible summaries aborts instead of silently corrupting
-///    estimates.
+///    estimates. Summaries that support decayed windows (the counter
+///    sketches, the heavy-hitter trackers, the level sets, the entropy
+///    MLE, the core F1/F2/Fk/entropy estimators and the Monitor) declare
+///    it as `Merge(const S& other, double weight = 1.0)`: one body, in
+///    which every linear counter of `other` contributes
+///    `ScaleCounter(counter, weight)`. Weight 1 is the exact merge, and
+///    the counter-add loops run their plain add there. The frequency-
+///    insensitive and non-linear summaries (KMV, HyperLogLog, AMS-F2,
+///    Misra–Gries, SpaceSaving, AMS entropy) keep the unweighted form.
 ///  - `bool MergeCompatibleWith(const S& other) const` — true exactly when
 ///    `Merge(other)` would succeed, checked all the way down through
 ///    nested summaries. This is the graceful form of the Merge
@@ -174,16 +182,19 @@ inline constexpr bool IsMergeableSummary =
 inline bool ValidMergeWeight(double w) { return w > 0.0 && w <= 1.0; }
 
 /// Rounds a weighted counter contribution back to the integer counter
-/// domain. Decayed merges (MergeScaled) scale every linear counter by the
-/// window weight; round-to-nearest keeps the scaled sketch an unbiased-in-
-/// expectation image of the decayed stream while the counters stay
-/// integral. Contributions under half a count round to zero and vanish —
-/// exactly the "aged out" semantics a decayed summary wants. The result is
-/// clamped to CounterT's representable range: `llround` on a product at or
-/// beyond 2^63 is undefined behaviour, and an unchecked narrowing cast
-/// would silently wrap near-max cells instead of pinning them.
+/// domain. Decayed merges (`Merge(other, weight)`) scale every linear
+/// counter by the window weight; round-to-nearest keeps the scaled sketch
+/// an unbiased-in-expectation image of the decayed stream while the
+/// counters stay integral. Contributions under half a count round to zero
+/// and vanish — exactly the "aged out" semantics a decayed summary wants.
+/// Weight 1 returns `count` unchanged: the double product would round
+/// counts above 2^53. Otherwise the result is clamped to CounterT's
+/// representable range: `llround` on a product at or beyond 2^63 is
+/// undefined behaviour, and an unchecked narrowing cast would silently
+/// wrap near-max cells instead of pinning them.
 template <typename CounterT>
 inline CounterT ScaleCounter(CounterT count, double weight) {
+  if (weight == 1.0) return count;
   const double scaled = weight * static_cast<double>(count);
   // The max/min of CounterT round when converted to double (uint64 max
   // becomes 2^64, int64 max becomes 2^63) — both are correct clamp
@@ -198,6 +209,39 @@ inline CounterT ScaleCounter(CounterT count, double weight) {
     if (scaled >= 9223372036854775808.0) return static_cast<CounterT>(scaled);
   }
   return static_cast<CounterT>(std::llround(scaled));
+}
+
+/// The one merge of exact count maps (the entropy MLE, ExactLevelSets and
+/// the level-set exact slots): adds `ScaleCounter(count, weight)` for every
+/// entry of `from` into `into`, skipping entries that round to zero (they
+/// aged out of the decayed window), and returns the mass added. Owners
+/// keep `total == sum of counts` by adding the returned mass, which per-
+/// item rounding makes differ from `ScaleCounter(total, weight)`.
+template <typename CountMap>
+inline count_t MergeCounts(CountMap& into, const CountMap& from,
+                           double weight) {
+  count_t added = 0;
+  for (const auto& [item, count] : from) {
+    const count_t scaled = ScaleCounter(count, weight);
+    if (scaled == 0) continue;
+    into[item] += scaled;
+    added += scaled;
+  }
+  return added;
+}
+
+/// Decoder check for an exact count map: std::nullopt when a count is zero
+/// (the encoder never writes one) or the counts' sum wraps; otherwise the
+/// sum, which the owner compares with its recorded total.
+template <typename CountMap>
+inline std::optional<count_t> CountMapMass(const CountMap& counts) {
+  count_t mass = 0;
+  for (const auto& [item, count] : counts) {
+    (void)item;
+    if (count == 0 || mass + count < mass) return std::nullopt;
+    mass += count;
+  }
+  return mass;
 }
 
 /// Default `UpdatePrehashed` body: replays scalar `Update(item)` over the

@@ -112,7 +112,7 @@ TEST(CountMinTest, AddConservativeSaturatesNearMax) {
   EXPECT_EQ(cm.Estimate(42), std::numeric_limits<count_t>::max());
 }
 
-TEST(CountMinTest, MergeScaledClampsNearMaxCells) {
+TEST(CountMinTest, DecayedMergeClampsNearMaxCells) {
   // Decayed merges round scaled counters back to the integer domain.
   // Cells above 2^63 used to flow through llround, which is undefined for
   // values outside the long-long range; the scaled value must instead be
@@ -121,14 +121,29 @@ TEST(CountMinTest, MergeScaledClampsNearMaxCells) {
   CountMinSketch a(2, 64, false, 9);
   CountMinSketch b(2, 64, false, 9);
   b.Update(7, std::numeric_limits<count_t>::max() - 3);
-  a.MergeScaled(b, 0.75);
+  a.Merge(b, 0.75);
   EXPECT_EQ(a.Estimate(7), 13835058055282163712ULL);  // 3 * 2^62
   // A second decayed merge adds 0.5 * 2^64 = 2^63; the cell accumulates
   // mod 2^64 (the table's counter domain), so the result is exactly
   // 3*2^62 + 2^63 - 2^64 = 2^62 — defined modular arithmetic, where the
   // pre-fix code hit undefined llround behavior during the scaling step.
-  a.MergeScaled(b, 0.5);
+  a.Merge(b, 0.5);
   EXPECT_EQ(a.Estimate(7), 4611686018427387904ULL);  // 2^62
+
+  // Weight 1 is exact: the double product would round 2^53 + 1 down to
+  // 2^53, so a merge at weight 1 must not go through it.
+  const count_t odd = (count_t{1} << 53) + 1;
+  EXPECT_EQ(ScaleCounter(odd, 1.0), odd);
+  EXPECT_EQ(ScaleCounter(std::numeric_limits<std::int64_t>::max(), 1.0),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(ScaleCounter(std::numeric_limits<count_t>::max(), 1.0),
+            std::numeric_limits<count_t>::max());
+  CountMinSketch c(2, 64, false, 9);
+  CountMinSketch d(2, 64, false, 9);
+  d.Update(7, odd);
+  c.Merge(d, 1.0);
+  EXPECT_EQ(c.Estimate(7), odd);
+  EXPECT_EQ(c.TotalCount(), odd);
 }
 
 TEST(CountMinHeavyHittersTest, FindsPlantedHeavyHitters) {

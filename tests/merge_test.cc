@@ -275,6 +275,37 @@ TEST(MergedBytesTest, MonitorShardAndDecayedMergesPinned8) {
   EXPECT_EQ(d.decayed, 0x43cb0752d52b4c63ULL);
 }
 
+// The CountSketch heavy-hitter pool is not part of a Monitor; pin its
+// merged and decayed-merged bytes the same way. Each shard's pool holds
+// ~2100 of its 3797 slots, so the 3-way union already evicts.
+void ExpectF2HeavyHitterMergeDigests(CellWidth cell_width,
+                                     std::uint64_t three_way,
+                                     std::uint64_t decayed) {
+  HeavyHitterParams params;
+  params.cell_width = cell_width;
+  std::vector<F2HeavyHitterEstimator> shards;
+  for (std::uint64_t s = 0; s < 6; ++s) {
+    shards.emplace_back(params, 5);
+    ZipfGenerator gen(1 << 18, 0.7, 200 + s);
+    const Stream stream = Materialize(gen, 20000);
+    FeedItems(shards.back(), stream.data(), stream.size());
+  }
+  F2HeavyHitterEstimator merged(params, 5);
+  for (std::size_t s = 0; s < 3; ++s) merged.Merge(shards[s]);
+  EXPECT_EQ(WireDigest(merged), three_way);
+  merged.Merge(shards[3], 0.8);
+  merged.Merge(shards[4], 0.5);
+  merged.Merge(shards[5], std::numeric_limits<double>::min());
+  EXPECT_EQ(WireDigest(merged), decayed);
+}
+
+TEST(MergedBytesTest, F2HeavyHitterShardAndDecayedMergesPinned) {
+  ExpectF2HeavyHitterMergeDigests(CellWidth::k64, 0xd5658f7d228cac0cULL,
+                                  0x6986bd75b6db0d6bULL);
+  ExpectF2HeavyHitterMergeDigests(CellWidth::k8, 0xa45df39878b236faULL,
+                                  0x03d3dfcc86df711fULL);
+}
+
 using MergePreconditionDeathTest = ::testing::Test;
 
 TEST(MergePreconditionDeathTest, MismatchedGeometryOrSeedAborts) {
@@ -331,6 +362,20 @@ TEST(MergePreconditionDeathTest, MismatchedEstimatorsAbort) {
   hh_other.alpha = 0.5;
   F1HeavyHitterEstimator hh_a(hh_params, 1), hh_b(hh_other, 1);
   EXPECT_DEATH(hh_a.Merge(hh_b), "different configurations");
+}
+
+TEST(MergePreconditionDeathTest, ZeroCountExactMapUpdatesAbort) {
+  // Exact count maps hold counts >= 1 and merges add up their mass on that
+  // invariant, so a zero count aborts instead of planting a zero entry.
+  EntropyMleEstimator mle;
+  EXPECT_DEATH(mle.Update(7, 0), "count >= 1");
+  ExactLevelSets levels(0.25, 0.5);
+  EXPECT_DEATH(levels.Update(7, 0), "count >= 1");
+  IndykWoodruffEstimator iw(LevelSetParams{}, 17);
+  const item_t item = 7;
+  const std::uint64_t hash = PreHash(item);
+  EXPECT_DEATH(iw.UpdatePrehashed(PrehashedColumns{&item, &hash}, 1, 0),
+               "weight >= 1");
 }
 
 TEST(MergeTest, DistributedMonitorsPipeline) {

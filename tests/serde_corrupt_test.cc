@@ -209,6 +209,77 @@ TEST(SerdeCorruptTest, ExactLevelSets) {
   RunAll(MakeDecoder<ExactLevelSets>(), Encode(levels), 13);
 }
 
+// Exact count maps hold counts >= 1 whose sum is the recorded total (the
+// encoder never writes anything else, and merges rely on both). A record
+// that breaks either must not decode.
+TEST(SerdeCorruptTest, EntropyMleCountsMustSumToTotal) {
+  EntropyMleEstimator estimator;
+  estimator.Update(7, 5);
+  Bytes bytes = Encode(estimator);
+  // tag, version, total 5, one entry: item 7, count 5.
+  ASSERT_EQ(bytes.size(), 6u);
+  ASSERT_EQ(bytes[2], 5);
+  ASSERT_EQ(bytes[5], 5);
+  EXPECT_TRUE(MakeDecoder<EntropyMleEstimator>()(bytes));
+  bytes[2] = 1;  // total 1 disagrees with the count of 5
+  EXPECT_FALSE(MakeDecoder<EntropyMleEstimator>()(bytes));
+  bytes[2] = 0;
+  bytes[5] = 0;  // total 0 matches, but a zero count is not an entry
+  EXPECT_FALSE(MakeDecoder<EntropyMleEstimator>()(bytes));
+}
+
+TEST(SerdeCorruptTest, ExactLevelSetCountsMustSumToTotal) {
+  ExactLevelSets levels(0.25, 0.5);
+  levels.Update(7, 5);
+  Bytes bytes = Encode(levels);
+  // tag, version, eps', eta (two f64), total 5, one entry: item 7, count 5.
+  ASSERT_EQ(bytes.size(), 22u);
+  ASSERT_EQ(bytes[18], 5);
+  ASSERT_EQ(bytes[21], 5);
+  EXPECT_TRUE(MakeDecoder<ExactLevelSets>()(bytes));
+  bytes[18] = 1;
+  EXPECT_FALSE(MakeDecoder<ExactLevelSets>()(bytes));
+  bytes[18] = 0;
+  bytes[21] = 0;
+  EXPECT_FALSE(MakeDecoder<ExactLevelSets>()(bytes));
+}
+
+TEST(SerdeCorruptTest, LevelSetExactSlotRejectsZeroCounts) {
+  LevelSetParams params;
+  params.cs_width = 8;
+  params.cs_depth = 1;
+  params.max_depth = 0;
+  IndykWoodruffEstimator estimator(params, 15);
+  estimator.Update(7);
+  Bytes bytes = Encode(estimator);
+  // The record ends with the one slot's exact map {7: 1}, then its valid
+  // flag.
+  ASSERT_GE(bytes.size(), 4u);
+  const std::size_t n = bytes.size();
+  ASSERT_EQ(Bytes(bytes.begin() + static_cast<std::ptrdiff_t>(n - 4),
+                  bytes.end()),
+            (Bytes{1, 7, 1, 1}));
+  EXPECT_TRUE(MakeDecoder<IndykWoodruffEstimator>()(bytes));
+  bytes[n - 2] = 0;
+  EXPECT_FALSE(MakeDecoder<IndykWoodruffEstimator>()(bytes));
+}
+
+// A full candidate pool evicts its weakest entry; with capacity 0 it is
+// full and empty at once, so the decoders reject that capacity (the
+// constructors never produce it).
+TEST(SerdeCorruptTest, ZeroCandidateCapacityIsRejected) {
+  // tag, version, f64 phi, then the capacity as a one-byte varint (phi 0.5
+  // gives 8/phi + 16 = 32 and 8/phi^2 + 16 = 48).
+  Bytes cm = Encode(CountMinHeavyHitters(0.5, 0.2, 0.1, 3));
+  Bytes cs = Encode(CountSketchHeavyHitters(0.5, 0.2, 0.1, 3));
+  ASSERT_EQ(cm[10], 32);
+  ASSERT_EQ(cs[10], 48);
+  cm[10] = 0;
+  cs[10] = 0;
+  EXPECT_FALSE(MakeDecoder<CountMinHeavyHitters>()(cm));
+  EXPECT_FALSE(MakeDecoder<CountSketchHeavyHitters>()(cs));
+}
+
 TEST(SerdeCorruptTest, F0Estimator) {
   for (F0Backend backend :
        {F0Backend::kKmv, F0Backend::kHyperLogLog, F0Backend::kExact}) {
