@@ -371,12 +371,12 @@ class CounterTable {
   /// Pointwise counter sum: every counter of `other` contributes
   /// `ScaleCounter(counter, weight)`, clamped to CounterT's range (the
   /// decayed-merge form; `weight` is validated by the calling sketch).
-  /// Weight 1 runs the plain add loop. Adds wrap through uint64_t, the
-  /// table's counter domain. Callers enforce their merge preconditions
-  /// (same depth/width/seed, same pow2 flag and overflow policy) first; the
-  /// row seeds derive from the seed, so equal headers imply equal bucket
-  /// derivations. Mixed cell widths merge by promoting this table's base to
-  /// the wider side first.
+  /// Weight 1 runs the plain add loop. 64-bit cells add with uint64_t
+  /// wraparound, the table's counter domain. Callers enforce their merge
+  /// preconditions (same depth/width/seed, same pow2 flag and overflow
+  /// policy) first; the row seeds derive from the seed, so equal headers
+  /// imply equal bucket derivations. Mixed cell widths merge by promoting
+  /// this table's base to the wider side first.
   void MergeAdd(const CounterTable& other, double weight = 1.0) {
     SUBSTREAM_CHECK(depth_ == other.depth_ && width_ == other.width_);
     const auto add = [&](auto scale) {

@@ -1,6 +1,5 @@
 #include "sketch/countmin.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "plan/accuracy.h"
