@@ -209,9 +209,9 @@ int main(int argc, char** argv) {
       // physical cell width, at a dense cache-pressure geometry (4 x 2^16
       // cells, matching the stream universe: 2 MiB of 64-bit counters vs
       // 256 KiB of 8-bit ones) so every touched line is shared and the rows
-      // show what compact cells buy via footprint. Power-of-two width
-      // engages the mask fast path in place of fast-range. The denominator
-      // is the same-ISA 64-bit rate, measured first.
+      // show what compact cells buy via footprint. Buckets use the one
+      // production reduction, fast-range. The denominator is the same-ISA
+      // 64-bit rate, measured first.
       {
         double cells_wide = 0.0;
         for (CellWidth cw : {CellWidth::k64, CellWidth::k32, CellWidth::k16,
@@ -219,10 +219,8 @@ int main(int argc, char** argv) {
           const double rate = BestRate(
               repeats, items,
               [cw] {
-                return CounterTable<count_t>(
-                    4, std::uint64_t{1} << 16, 3,
-                    CounterTableOptions{cw, OverflowPolicy::kSpill,
-                                        /*pow2_width=*/true});
+                return CounterTable<count_t>(4, std::uint64_t{1} << 16, 3,
+                                             cw);
               },
               [&](auto& table) {
                 table.AddPrehashed(hash_col.data(), hash_col.size());

@@ -147,7 +147,7 @@ int main(int argc, char** argv) {
     // Close the window without stalling ingest, collect the merged epoch
     // and age it into the ring. Health is read off the closed window
     // before the ring absorbs it: this is the per-window degradation
-    // signal (fill/spill/saturation per summary plus derived bounds).
+    // signal (fill/spill per summary plus derived bounds).
     pipeline->Rotate();
     auto closed = pipeline->CollectWindow(pipeline->CurrentEpoch() - 1);
     if (!closed) return 1;

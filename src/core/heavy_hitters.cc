@@ -60,7 +60,7 @@ F1HeavyHitterEstimator::F1HeavyHitterEstimator(const HeavyHitterParams& params,
       alpha_prime_((1.0 - 0.4 * params.epsilon) * params.alpha),
       tracker_(alpha_prime_, params.epsilon / 2.0, params.delta / 4.0,
                DeriveSeed(seed, 0x441),
-               CounterTableOptions{params.cell_width}) {
+               params.cell_width) {
   ValidateParams(params);
 }
 
@@ -168,7 +168,7 @@ F2HeavyHitterEstimator::F2HeavyHitterEstimator(const HeavyHitterParams& params,
       // The sqrt(p) in alpha' is what drives the O~(1/p) space scaling.
       tracker_(alpha_prime_, params.epsilon / 4.0, params.delta / 4.0,
                DeriveSeed(seed, 0x442),
-               CounterTableOptions{params.cell_width}) {
+               params.cell_width) {
   ValidateParams(params);
 }
 

@@ -195,8 +195,8 @@ class Monitor {
   MonitorReport Report() const;
 
   /// SketchHealth introspection (obs/health.h): one SummaryHealth entry per
-  /// enabled estimator backend — geometry, fill ratio, overflow-spill and
-  /// saturation fractions, derived (eps, delta) bounds, space. Scans the
+  /// enabled estimator backend — geometry, fill ratio, overflow-spill
+  /// fraction, derived (eps, delta) bounds, space. Scans the
   /// counter tables, so cost is O(total cells); call at report cadence, not
   /// per batch.
   obs::HealthReport Health() const;

@@ -3,16 +3,25 @@
 #include <cmath>
 
 namespace substream {
+namespace {
+
+/// Ring occupancy (fraction of capacity) at or above which one observation
+/// counts as pressure and halves the rate.
+constexpr double kEngageOccupancy = 0.5;
+/// Ring occupancy at or below which an observation counts toward the calm
+/// streak.
+/// The gap to kEngageOccupancy is the hysteresis.
+constexpr double kDisengageOccupancy = 0.25;
+static_assert(kDisengageOccupancy < kEngageOccupancy,
+              "the watermarks must leave a hysteresis gap");
+
+}  // namespace
 
 SampleController::SampleController(const SampleControllerOptions& options,
                                    std::uint64_t seed)
     : options_(options), rng_(seed) {
   SUBSTREAM_CHECK_MSG(options_.min_rate > 0.0 && options_.min_rate <= 1.0,
                       "SampleController min_rate must be in (0, 1]");
-  SUBSTREAM_CHECK_MSG(
-      options_.disengage_occupancy < options_.engage_occupancy,
-      "SampleController watermarks must leave a hysteresis gap "
-      "(disengage < engage)");
   SUBSTREAM_CHECK_MSG(options_.calm_observations > 0,
                       "SampleController calm_observations must be >= 1");
   // Clamp the floor to the nearest power-of-two level so the correction
@@ -24,7 +33,7 @@ SampleController::SampleController(const SampleControllerOptions& options,
 
 bool SampleController::Observe(double occupancy, std::uint64_t stall_delta) {
   const bool pressured =
-      occupancy >= options_.engage_occupancy || stall_delta > 0;
+      occupancy >= kEngageOccupancy || stall_delta > 0;
   if (pressured) {
     calm_streak_ = 0;
     if (level_ < max_level_) {
@@ -33,7 +42,7 @@ bool SampleController::Observe(double occupancy, std::uint64_t stall_delta) {
     }
     return false;
   }
-  if (occupancy > options_.disengage_occupancy) {
+  if (occupancy > kDisengageOccupancy) {
     // Hysteresis band: neither pressure nor calm. The streak restarts so a
     // hovering ring cannot ratchet the rate back up.
     calm_streak_ = 0;

@@ -34,10 +34,11 @@
 ///     response to backpressure. Rates are constrained to powers of two
 ///     (p = 2^-level), so the unbiased correction weight round(1/p) = 2^level
 ///     is exact in integer arithmetic. Pressure — ring occupancy at or above
-///     the engage watermark, or any new producer stalls — steps the level up
-///     (halves p) immediately. Recovery is deliberately slower: the level
-///     steps down only after `calm_observations` consecutive observations
-///     below the (lower) disengage watermark. The watermark gap plus the
+///     the engage watermark (1/2), or any new producer stalls — steps the
+///     level up (halves p) immediately. Recovery is deliberately slower: the
+///     level steps down only after `calm_observations` consecutive
+///     observations at or below the disengage watermark (1/4). The watermarks
+///     are fixed constants in overload.cc. The watermark gap plus the
 ///     calm streak is the hysteresis that keeps the rate from flapping when
 ///     occupancy hovers near a threshold.
 ///
@@ -57,12 +58,6 @@ struct SampleControllerOptions {
   /// 1/64 caps the correction weight at 64 and the F2 variance widening at
   /// sqrt(2 * (1 - 1/64) * ln(1/delta) / raw) — see plan::SampledEpsilon.
   double min_rate = 1.0 / 64.0;
-  /// Ring occupancy (fraction of capacity) at or above which one observation
-  /// counts as pressure and halves the rate.
-  double engage_occupancy = 0.5;
-  /// Ring occupancy below which an observation counts toward the calm
-  /// streak. Must sit below engage_occupancy; the gap is hysteresis.
-  double disengage_occupancy = 0.25;
   /// Consecutive calm observations required before the rate steps back up
   /// one level (doubles) toward exact counting.
   std::size_t calm_observations = 4;

@@ -90,23 +90,17 @@ std::size_t RoundUpPow2(std::size_t x) {
 }
 
 /// Bounded exponential backoff for spin-wait loops: a burst of yields for
-/// the short waits, then sleeps doubling from 1us up to `max_sleep_us` so a
-/// saturated pipeline burns bounded CPU instead of spinning forever (the
-/// seed's FlushStaged yielded unboundedly). The default cap matches the
-/// historical ~1ms; the producer's ring-full path threads
-/// ShardedMonitorOptions::stall_backoff_max_us through instead.
-void BackoffPause(std::size_t* spins, std::uint64_t max_sleep_us = 1024) {
+/// the short waits, then sleeps doubling from 1us up to 1024us so a
+/// saturated pipeline burns bounded CPU instead of spinning forever.
+void BackoffPause(std::size_t* spins) {
   constexpr std::size_t kYields = 64;
-  constexpr std::size_t kMaxSleepShift = 20;
+  constexpr std::size_t kMaxSleepShift = 10;  // 2^10 us ~ 1ms
   if (*spins < kYields) {
     std::this_thread::yield();
   } else {
     const std::size_t shift =
         std::min<std::size_t>(*spins - kYields, kMaxSleepShift);
-    const std::uint64_t sleep_us =
-        std::min<std::uint64_t>(1ULL << shift, std::max<std::uint64_t>(
-                                                   max_sleep_us, 1));
-    std::this_thread::sleep_for(std::chrono::microseconds(sleep_us));
+    std::this_thread::sleep_for(std::chrono::microseconds(1ULL << shift));
   }
   ++*spins;
 }
@@ -124,8 +118,6 @@ ShardedMonitor::ShardedMonitor(const MonitorConfig& config, std::uint64_t seed,
   SUBSTREAM_CHECK_MSG(options.shards >= 1, "ShardedMonitor needs >= 1 shard");
   SUBSTREAM_CHECK(options.ring_capacity >= 1);
   SUBSTREAM_CHECK(options.batch_items >= 1);
-  SUBSTREAM_CHECK_MSG(options.stall_backoff_max_us >= 1,
-                      "stall_backoff_max_us must be >= 1");
   options_.ring_capacity = RoundUpPow2(options.ring_capacity);
   if (config_.overload_sampling) {
     // The sampler's RNG seed derives from the pipeline seed on its own
@@ -234,10 +226,6 @@ std::size_t ShardedMonitor::ShardOf(item_t item, std::size_t shards) {
   return ShardOfPrehash(PreHash(item), shards);
 }
 
-std::size_t ShardedMonitor::GroupOfShard(std::size_t s) const {
-  return shard_group_[s];
-}
-
 void ShardedMonitor::WorkerLoop(std::size_t shard) {
   if (options_.pin_workers) {
     // Best-effort: a refused affinity call leaves the worker where the
@@ -331,13 +319,13 @@ void ShardedMonitor::PushBatch(std::size_t shard, Batch&& batch) {
   if (!rings_[shard]->TryPush(std::move(batch))) {
     // Ring full: the saturation case. Count it once per blocked push, time
     // the whole block (stall severity, not just the event), and back off
-    // (bounded by the options cap) until the worker frees a slot.
+    // until the worker frees a slot.
     ++producer_stalls_;
     PipelineMetrics::Get().producer_stalls.Inc();
     const std::uint64_t start_ns = obs::NowNs();
     std::size_t spins = 0;
     do {
-      BackoffPause(&spins, options_.stall_backoff_max_us);
+      BackoffPause(&spins);
     } while (!rings_[shard]->TryPush(std::move(batch)));
     const std::uint64_t waited_ns = obs::NowNs() - start_ns;
     stall_wait_ns_ += waited_ns;

@@ -147,11 +147,6 @@ struct ShardedMonitorOptions {
   /// affinity syscall leaves the worker unpinned (and first-touch then
   /// falls back to wherever the scheduler ran the allocation).
   bool pin_workers = true;
-  /// Ceiling (microseconds) of the producer's exponential backoff sleep
-  /// when a ring is full. The historical hard-coded cap was ~1ms; latency-
-  /// sensitive producers can lower it (burning more CPU while stalled),
-  /// batch jobs can raise it.
-  std::uint64_t stall_backoff_max_us = 1024;
   /// Adaptive sampler tuning (core/overload.h). Armed only when the
   /// monitor config sets `overload_sampling`; inert otherwise.
   SampleControllerOptions overload;
@@ -305,8 +300,6 @@ class ShardedMonitor {
   std::size_t shards() const { return options_.shards; }
   /// Shard groups in use (resolved at construction).
   std::size_t groups() const { return group_begin_.size() - 1; }
-  /// Group that owns shard `s` (contiguous ranges, balanced sizes).
-  std::size_t GroupOfShard(std::size_t s) const;
   /// The node topology the group layout was derived from.
   const numa::Topology& topology() const { return topology_; }
   count_t ItemsIngested() const { return items_ingested_; }

@@ -241,14 +241,10 @@ std::string ToJson(const HealthReport& report) {
     AppendU64(out, s.nonzero_cells);
     out += ",\"spilled_cells\":";
     AppendU64(out, s.spilled_cells);
-    out += ",\"saturated_cells\":";
-    AppendU64(out, s.saturated_cells);
     out += ",\"fill_ratio\":";
     AppendF64(out, s.fill_ratio);
     out += ",\"spill_fraction\":";
     AppendF64(out, s.spill_fraction);
-    out += ",\"saturation_fraction\":";
-    AppendF64(out, s.saturation_fraction);
     out += ",\"epsilon\":";
     AppendF64(out, s.epsilon);
     out += ",\"delta\":";

@@ -4,8 +4,8 @@
 // answers "how fast / how often", a HealthReport answers "how full / how
 // degraded": for each summary inside a Monitor it carries the geometry,
 // the fill ratio of the counter table, the fraction of cells that spilled
-// into wider overflow levels or saturated at their clamp value, and the
-// derived (epsilon, delta) error bound the geometry buys.
+// into wider overflow levels, and the derived (epsilon, delta) error bound
+// the geometry buys.
 //
 // This header sits below the sketch layer (standard library plus the
 // equally-low plan/accuracy.h formula header) so sketches and estimators
@@ -32,13 +32,11 @@ struct SummaryHealth {
   std::uint64_t width = 0;         // buckets per row (or capacity k)
   std::uint64_t cells = 0;         // total base cells (or capacity)
   std::uint64_t nonzero_cells = 0;
-  std::uint64_t spilled_cells = 0;    // cells promoted into overflow levels
-  std::uint64_t saturated_cells = 0;  // cells pinned at their clamp value
-  double fill_ratio = 0.0;            // nonzero_cells / cells
-  double spill_fraction = 0.0;        // spilled_cells / cells
-  double saturation_fraction = 0.0;   // saturated_cells / cells
-  double epsilon = 0.0;               // derived error bound (0 = n/a)
-  double delta = 0.0;                 // derived failure probability (0 = n/a)
+  std::uint64_t spilled_cells = 0;  // cells promoted into overflow levels
+  double fill_ratio = 0.0;          // nonzero_cells / cells
+  double spill_fraction = 0.0;      // spilled_cells / cells
+  double epsilon = 0.0;             // derived error bound (0 = n/a)
+  double delta = 0.0;               // derived failure probability (0 = n/a)
   std::size_t space_bytes = 0;
 };
 
@@ -56,12 +54,11 @@ struct HealthReport {
   std::vector<SummaryHealth> summaries;
 };
 
-// Normalize the three ratio fields once counts are filled in.
+// Normalize the two ratio fields once counts are filled in.
 inline void FinalizeRatios(SummaryHealth& h) {
   const double cells = h.cells > 0 ? static_cast<double>(h.cells) : 1.0;
   h.fill_ratio = static_cast<double>(h.nonzero_cells) / cells;
   h.spill_fraction = static_cast<double>(h.spilled_cells) / cells;
-  h.saturation_fraction = static_cast<double>(h.saturated_cells) / cells;
 }
 
 // Standard analytic bounds. The formulas themselves live in

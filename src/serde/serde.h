@@ -70,8 +70,8 @@ namespace serde {
 ///     v1 records must be rejected loudly instead of decoded into silently
 ///     corrupt estimates and merges.
 /// v3: compact counter cells — counter-table records carry a cell-width
-///     byte, a storage-flags byte (power-of-two masking, saturating
-///     overflow) and the lazily-allocated overflow-spill levels; core
+///     byte, a reserved storage-flags byte (always 0; readers reject any
+///     other value) and the lazily-allocated overflow-spill levels; core
 ///     estimator records carry their cell-width knob. Hash semantics are
 ///     unchanged from v2, so v2 records stay decodable: readers accept
 ///     both versions (Reader::record_version()) and interpret v2 records

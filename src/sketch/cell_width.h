@@ -4,18 +4,19 @@
 #include <cstdint>
 
 /// \file cell_width.h
-/// Storage-policy knobs for the shared CounterTable (counter_table.h),
-/// split into their own include-light header so core-layer configuration
-/// structs (MonitorConfig, FkParams, LevelSetParams, HeavyHitterParams)
-/// can carry a cell-width choice without pulling in the sketch layer.
+/// The one storage knob of the shared CounterTable (counter_table.h): its
+/// physical cell width. It lives in its own include-light header so
+/// core-layer configuration structs (MonitorConfig, FkParams,
+/// LevelSetParams, HeavyHitterParams) can carry a cell-width choice
+/// without pulling in the sketch layer.
 ///
 /// Most sketch deployments never need 64-bit headroom per counter: a
 /// 32-bit (or narrower) cell quadruples (or more) the number of counters
 /// per cache line and per vector register. The CounterTable keeps the
-/// 64-bit *logical* interface regardless of the physical width; narrow
-/// cells that would overflow either spill into a lazily-allocated
-/// next-wider overflow level (estimates stay bit-identical to the 64-bit
-/// reference) or saturate, per OverflowPolicy.
+/// 64-bit *logical* interface regardless of the physical width; a narrow
+/// cell that would overflow spills into a lazily-allocated next-wider
+/// overflow level, so estimates stay bit-identical to the 64-bit
+/// reference.
 
 namespace substream {
 
@@ -37,32 +38,6 @@ inline constexpr int CellBits(CellWidth width) {
 inline constexpr std::size_t CellBytes(CellWidth width) {
   return static_cast<std::size_t>(1) << static_cast<int>(width);
 }
-
-/// What happens when a narrow cell can no longer represent its counter.
-/// Values are wire-stable (serialized inside the table flags byte).
-enum class OverflowPolicy : std::uint8_t {
-  /// The cell's value spills into the next-wider overflow level (allocated
-  /// lazily on first spill); logical values — and therefore estimates —
-  /// stay bit-identical to a 64-bit-cell table fed the same stream.
-  kSpill = 0,
-  /// The cell clamps at its representable extreme. No overflow levels are
-  /// ever allocated; heavy-tail counters are clipped. For callers that
-  /// accept clipped tails in exchange for a hard memory bound.
-  kSaturate = 1,
-};
-
-/// Per-table storage policy. Defaults reproduce the historical behaviour
-/// exactly: 64-bit cells, FastRange64 bucket reduction.
-struct CounterTableOptions {
-  CellWidth cell_width = CellWidth::k64;
-  OverflowPolicy overflow = OverflowPolicy::kSpill;
-  /// Round the requested width up to a power of two and reduce buckets
-  /// with a mask instead of FastRange64 — one multiply-high saved per
-  /// derivation. Mask placement differs from fast-range placement even at
-  /// equal widths, so this flag participates in merge compatibility and
-  /// the wire header.
-  bool pow2_width = false;
-};
 
 }  // namespace substream
 

@@ -73,19 +73,10 @@ void SignRow4ColsScalar(const std::uint64_t* items, std::size_t n,
   }
 }
 
-void BucketRowMaskColsScalar(const std::uint64_t* hashes, std::size_t n,
-                             std::uint64_t row_seed, std::uint64_t mask,
-                             std::uint64_t* out_idx) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out_idx[i] = RemixHash(hashes[i], row_seed) & mask;
-  }
-}
-
 constexpr KernelTable kScalarTable = {
     simd::Isa::kScalar,
     BucketRowColsScalar,
     SignRow4ColsScalar,
-    BucketRowMaskColsScalar,
 };
 
 #if SUBSTREAM_SIMD_X86
@@ -266,28 +257,10 @@ __attribute__((target("avx2"))) void SignRow4ColsAvx2(
   SignRow4ColsScalar(items + i, n - i, c, out_sign + i);
 }
 
-__attribute__((target("avx2"))) void BucketRowMaskColsAvx2(
-    const std::uint64_t* hashes, std::size_t n, std::uint64_t row_seed,
-    std::uint64_t mask, std::uint64_t* out_idx) {
-  const __m256i seed = _mm256_set1_epi64x(static_cast<long long>(row_seed));
-  const __m256i m = _mm256_set1_epi64x(static_cast<long long>(mask));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i mixed = RemixAvx2(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(hashes + i)),
-        seed);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out_idx + i),
-                        _mm256_and_si256(mixed, m));
-  }
-  _mm256_zeroupper();  // see "Upper state" above
-  BucketRowMaskColsScalar(hashes + i, n - i, row_seed, mask, out_idx + i);
-}
-
 constexpr KernelTable kAvx2Table = {
     simd::Isa::kAvx2,
     BucketRowColsAvx2,
     SignRow4ColsAvx2,
-    BucketRowMaskColsAvx2,
 };
 
 // ---------------------------------------------------------------------------
@@ -424,27 +397,10 @@ __attribute__((target("avx512f,avx512dq"))) void SignRow4ColsAvx512(
   SignRow4ColsScalar(items + i, n - i, c, out_sign + i);
 }
 
-__attribute__((target("avx512f,avx512dq"))) void BucketRowMaskColsAvx512(
-    const std::uint64_t* hashes, std::size_t n, std::uint64_t row_seed,
-    std::uint64_t mask, std::uint64_t* out_idx) {
-  const __m512i seed = _mm512_set1_epi64(static_cast<long long>(row_seed));
-  const __m512i m = _mm512_set1_epi64(static_cast<long long>(mask));
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i mixed = RemixAvx512(
-        _mm512_loadu_si512(reinterpret_cast<const void*>(hashes + i)), seed);
-    _mm512_storeu_si512(reinterpret_cast<void*>(out_idx + i),
-                        _mm512_and_si512(mixed, m));
-  }
-  _mm256_zeroupper();  // see "Upper state" above
-  BucketRowMaskColsScalar(hashes + i, n - i, row_seed, mask, out_idx + i);
-}
-
 constexpr KernelTable kAvx512Table = {
     simd::Isa::kAvx512,
     BucketRowColsAvx512,
     SignRow4ColsAvx512,
-    BucketRowMaskColsAvx512,
 };
 
 #endif  // SUBSTREAM_SIMD_X86

@@ -82,14 +82,6 @@ struct KernelTable {
   /// first, as PolynomialHash stores them).
   void (*sign_row4_cols)(const std::uint64_t* items, std::size_t n,
                          const std::uint64_t c[4], std::int64_t* out_sign);
-
-  /// Power-of-two-width row pass: out_idx[i] =
-  /// RemixHash(hashes[i], row_seed) & mask. The mask reduction skips
-  /// FastRange64's multiply-high; its bucket placement differs from
-  /// fast-range placement even at equal widths, so tables pick exactly one.
-  void (*bucket_row_mask_cols)(const std::uint64_t* hashes, std::size_t n,
-                               std::uint64_t row_seed, std::uint64_t mask,
-                               std::uint64_t* out_idx);
 };
 
 /// The active kernel table. First call resolves the level (env override,

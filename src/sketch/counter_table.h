@@ -24,8 +24,7 @@
 /// Storage is a single flat row-major array of `depth * width` counters —
 /// no per-row vector indirection — and bucket selection runs through the
 /// shared prehash stage (util/hash.h): one RemixHash with a per-row seed
-/// plus a branch-free FastRange64 reduction (or a mask, for tables built
-/// with the power-of-two width option), instead of a per-row
+/// plus a branch-free FastRange64 reduction, instead of a per-row
 /// k-wise-independent polynomial evaluation and a `%`. Batched adds are
 /// cache-blocked: the prehashed column is consumed in L1-sized blocks so
 /// every row pass re-reads a resident block instead of streaming the whole
@@ -33,15 +32,14 @@
 ///
 /// ## Compact cells and overflow-spill promotion
 ///
-/// The physical cell width is a runtime storage policy (CounterTableOptions,
+/// The physical cell width is the table's one storage knob (CellWidth,
 /// cell_width.h): the base level holds 8-, 16-, 32- or 64-bit cells behind
 /// the unchanged 64-bit logical interface. A narrow cell that can no longer
 /// represent its counter spills its value into the next-wider overflow
 /// level, allocated lazily on first spill; a cell's logical value is the sum
 /// of its level entries, so estimates stay bit-identical to a 64-bit-cell
-/// table fed the same stream (all level arithmetic is mod-2^64 exact). The
-/// saturating policy clamps at the base level instead and never allocates
-/// overflow levels. Narrow unit increments run against a *stop pattern*
+/// table fed the same stream (all level arithmetic is mod-2^64 exact).
+/// Narrow unit increments run against a *stop pattern*
 /// (all-ones unsigned, max-positive signed): a cell at the stop value takes
 /// the cold spill path, every other cell is one raw-pattern increment.
 ///
@@ -67,14 +65,13 @@ struct TableHealthCounts {
   std::size_t cells = 0;      ///< total base cells (depth * width)
   std::size_t nonzero = 0;    ///< cells with a nonzero logical value
   std::size_t spilled = 0;    ///< cells with a nonzero overflow-level entry
-  std::size_t saturated = 0;  ///< base cells pinned at the clamp pattern
 };
 
 namespace table_telemetry {
 
 /// Cached registry handles for the CounterTable cold paths, shared across
-/// all CounterT instantiations. All three sit on spill/clamp/allocation
-/// branches — never in the per-item increment loops.
+/// all CounterT instantiations. Both sit on spill/allocation branches —
+/// never in the per-item increment loops.
 inline obs::Counter& SpillPromotions() {
   static obs::Counter& counter = obs::MetricsRegistry::Global().GetCounter(
       "substream_sketch_spill_promotions_total",
@@ -86,13 +83,6 @@ inline obs::Counter& OverflowLevelAllocs() {
   static obs::Counter& counter = obs::MetricsRegistry::Global().GetCounter(
       "substream_sketch_overflow_level_allocs_total",
       "Lazy allocations of an overflow level above the base cell width");
-  return counter;
-}
-
-inline obs::Counter& SaturatedClamps() {
-  static obs::Counter& counter = obs::MetricsRegistry::Global().GetCounter(
-      "substream_sketch_saturated_clamps_total",
-      "Adds clamped or dropped at a saturated cell (kSaturate policy)");
   return counter;
 }
 
@@ -111,40 +101,28 @@ class CounterTable {
   static constexpr int kMaxDepth = 64;
 
   CounterTable(int depth, std::uint64_t width, std::uint64_t seed,
-               CounterTableOptions options = {})
-      : depth_(depth), width_(width), options_(options) {
+               CellWidth cell_width = CellWidth::k64)
+      : depth_(depth), width_(width), cell_width_(cell_width) {
     SUBSTREAM_CHECK(depth >= 1 && depth <= kMaxDepth);
     SUBSTREAM_CHECK(width >= 1);
-    if (options_.pow2_width) {
-      width_ = RoundUpPow2(width_);
-      mask_ = width_ - 1;
-    }
     row_seeds_.reserve(static_cast<std::size_t>(depth));
     // Even indices, matching CountSketch's historical bucket/sign split so
     // a table row seed can never collide with a sibling sign-hash seed.
     for (int r = 0; r < depth; ++r) {
       row_seeds_.push_back(DeriveSeed(seed, 2 * static_cast<std::uint64_t>(r)));
     }
-    EnsureLevelAllocated(options_.cell_width);
+    EnsureLevelAllocated(cell_width_);
   }
 
   int depth() const { return depth_; }
-  /// Bucket count per row. With the power-of-two option this is the
-  /// *rounded* width, which is what merges compare and serde records.
   std::uint64_t width() const { return width_; }
+  CellWidth cell_width() const { return cell_width_; }
 
-  const CounterTableOptions& options() const { return options_; }
-  CellWidth cell_width() const { return options_.cell_width; }
-  bool pow2_width() const { return options_.pow2_width; }
-  OverflowPolicy overflow() const { return options_.overflow; }
-
-  /// Bucket of `prehash` in row `row`: seeded remix + fast-range (or mask).
-  /// Mask placement differs from fast-range placement even at equal
-  /// power-of-two widths, so the pow2 flag is part of merge compatibility.
+  /// Bucket of `prehash` in row `row`: seeded remix + fast-range.
   std::uint64_t BucketOf(int row, std::uint64_t prehash) const {
-    const std::uint64_t h =
-        RemixHash(prehash, row_seeds_[static_cast<std::size_t>(row)]);
-    return options_.pow2_width ? (h & mask_) : FastRange64(h, width_);
+    return FastRange64(
+        RemixHash(prehash, row_seeds_[static_cast<std::size_t>(row)]),
+        width_);
   }
 
   /// Direct row access into the 64-bit level. Only meaningful on tables
@@ -173,12 +151,12 @@ class CounterTable {
   /// Logical counter value at flat index `i`: the mod-2^64 sum of the
   /// allocated level entries (sign-extended for signed CounterT).
   CounterT AtFlat(std::size_t i) const {
-    if (options_.cell_width == CellWidth::k64) {
+    if (cell_width_ == CellWidth::k64) {
       return cells_[i];
     }
-    std::uint64_t sum = LevelValueBits(options_.cell_width, i);
+    std::uint64_t sum = LevelValueBits(cell_width_, i);
     if (has_upper_) {
-      for (int w = static_cast<int>(options_.cell_width) + 1;
+      for (int w = static_cast<int>(cell_width_) + 1;
            w <= static_cast<int>(CellWidth::k64); ++w) {
         const CellWidth cw = static_cast<CellWidth>(w);
         if (LevelAllocated(cw)) sum += LevelValueBits(cw, i);
@@ -187,24 +165,19 @@ class CounterTable {
     return static_cast<CounterT>(sum);
   }
 
-  /// Adds `delta` to the logical counter at flat index `i`, spilling or
-  /// saturating per the overflow policy. All arithmetic is mod-2^64 in
-  /// uint64, so the total across levels always equals what a 64-bit cell
-  /// would hold — including when the 64-bit reference itself wraps.
+  /// Adds `delta` to the logical counter at flat index `i`, spilling into
+  /// wider levels as needed. All arithmetic is mod-2^64 in uint64, so the
+  /// total across levels always equals what a 64-bit cell would hold —
+  /// including when the 64-bit reference itself wraps.
   void AddAtFlat(std::size_t i, CounterT delta) {
     if (delta == CounterT{}) return;
     std::uint64_t carry = static_cast<std::uint64_t>(delta);
-    for (int w = static_cast<int>(options_.cell_width);
+    for (int w = static_cast<int>(cell_width_);
          w < static_cast<int>(CellWidth::k64); ++w) {
       const CellWidth cw = static_cast<CellWidth>(w);
       const std::uint64_t sum = LevelValueBits(cw, i) + carry;
       if (FitsLevel(sum, cw)) {
         SetLevelCell(cw, i, sum);
-        return;
-      }
-      if (options_.overflow == OverflowPolicy::kSaturate) {
-        SetLevelCell(cw, i, ClampLevel(sum, cw));
-        table_telemetry::SaturatedClamps().Inc();
         return;
       }
       // Spill: this level drops to zero and the whole sum moves up, so the
@@ -225,7 +198,7 @@ class CounterTable {
   /// store-to-load forward per read, measured as a 4x per-item ingest
   /// regression on AVX2 at real depths.
   void Add(const PrehashedItem& ph, CounterT count) {
-    if (options_.cell_width == CellWidth::k64) {
+    if (cell_width_ == CellWidth::k64) {
       for (int r = 0; r < depth_; ++r) {
         Row(r)[BucketOf(r, ph.hash)] += count;
       }
@@ -238,7 +211,7 @@ class CounterTable {
 
   /// Minimum over rows of the bucket counters of `ph` (the CountMin read).
   CounterT Min(const PrehashedItem& ph) const {
-    if (options_.cell_width == CellWidth::k64) {
+    if (cell_width_ == CellWidth::k64) {
       CounterT best = Row(0)[BucketOf(0, ph.hash)];
       for (int r = 1; r < depth_; ++r) {
         best = std::min(best, Row(r)[BucketOf(r, ph.hash)]);
@@ -263,7 +236,7 @@ class CounterTable {
     for (int r = 0; r < depth_; ++r) {
       idx[static_cast<std::size_t>(r)] = BucketOf(r, ph.hash);
     }
-    if (options_.cell_width == CellWidth::k64) {
+    if (cell_width_ == CellWidth::k64) {
       CounterT best = Row(0)[idx[0]];
       for (int r = 1; r < depth_; ++r) {
         best = std::min(best, Row(r)[idx[static_cast<std::size_t>(r)]]);
@@ -302,7 +275,7 @@ class CounterTable {
   /// bit-identical across dispatch levels.
   void AddPrehashed(const std::uint64_t* hashes, std::size_t n) {
     const kernels::KernelTable& k = kernels::Dispatch();
-    switch (options_.cell_width) {
+    switch (cell_width_) {
       case CellWidth::k8:
         AddPrehashedNarrow(lv8_.data(), hashes, n, k);
         return;
@@ -315,7 +288,6 @@ class CounterTable {
       case CellWidth::k64:
         break;
     }
-    const bool pow2 = options_.pow2_width;
     if (k.isa != simd::Isa::kScalar) {
       // Vector path: the shared micro-block software pipeline
       // (kernels::MicroBlockPipeline) inside the same row-major cache
@@ -331,11 +303,7 @@ class CounterTable {
           kernels::MicroBlockPipeline(
               block, m,
               [&](const std::uint64_t* p, std::size_t mm, int slot) {
-                if (pow2) {
-                  k.bucket_row_mask_cols(p, mm, seed, mask_, idx[slot]);
-                } else {
-                  k.bucket_row_cols(p, mm, seed, width_, idx[slot]);
-                }
+                k.bucket_row_cols(p, mm, seed, width_, idx[slot]);
               },
               [&](int slot, std::size_t mm) {
                 const std::uint64_t* const buf = idx[slot];
@@ -353,16 +321,9 @@ class CounterTable {
       for (int r = 0; r < depth_; ++r) {
         CounterT* const row = Row(r);
         const std::uint64_t seed = row_seeds_[static_cast<std::size_t>(r)];
-        if (pow2) {
-          const std::uint64_t mask = mask_;
-          for (std::size_t i = 0; i < m; ++i) {
-            row[RemixHash(block[i], seed) & mask] += CounterT{1};
-          }
-        } else {
-          const std::uint64_t width = width_;
-          for (std::size_t i = 0; i < m; ++i) {
-            row[FastRange64(RemixHash(block[i], seed), width)] += CounterT{1};
-          }
+        const std::uint64_t width = width_;
+        for (std::size_t i = 0; i < m; ++i) {
+          row[FastRange64(RemixHash(block[i], seed), width)] += CounterT{1};
         }
       }
     }
@@ -373,15 +334,15 @@ class CounterTable {
   /// decayed-merge form; `weight` is validated by the calling sketch).
   /// Weight 1 runs the plain add loop. 64-bit cells add with uint64_t
   /// wraparound, the table's counter domain. Callers enforce their merge
-  /// preconditions (same depth/width/seed, same pow2 flag and overflow
-  /// policy) first; the row seeds derive from the seed, so equal headers
-  /// imply equal bucket derivations. Mixed cell widths merge by promoting
-  /// this table's base to the wider side first.
+  /// preconditions (same depth/width/seed) first; the row seeds derive
+  /// from the seed, so equal headers imply equal bucket derivations. Mixed
+  /// cell widths merge by promoting this table's base to the wider side
+  /// first.
   void MergeAdd(const CounterTable& other, double weight = 1.0) {
     SUBSTREAM_CHECK(depth_ == other.depth_ && width_ == other.width_);
     const auto add = [&](auto scale) {
-      if (options_.cell_width == CellWidth::k64 &&
-          other.options_.cell_width == CellWidth::k64) {
+      if (cell_width_ == CellWidth::k64 &&
+          other.cell_width_ == CellWidth::k64) {
         for (std::size_t i = 0; i < cells_.size(); ++i) {
           cells_[i] = static_cast<CounterT>(
               static_cast<std::uint64_t>(cells_[i]) +
@@ -389,8 +350,8 @@ class CounterTable {
         }
         return;
       }
-      if (other.options_.cell_width > options_.cell_width) {
-        PromoteBase(other.options_.cell_width);
+      if (other.cell_width_ > cell_width_) {
+        PromoteBase(other.cell_width_);
       }
       const std::size_t n = NumCells();
       for (std::size_t i = 0; i < n; ++i) {
@@ -409,7 +370,7 @@ class CounterTable {
   /// (capacity retained) so a reset-and-reused table is indistinguishable —
   /// including on the wire — from a newly constructed one.
   void Reset() {
-    switch (options_.cell_width) {
+    switch (cell_width_) {
       case CellWidth::k8:
         std::fill(lv8_.begin(), lv8_.end(), std::uint8_t{0});
         break;
@@ -424,19 +385,17 @@ class CounterTable {
         break;
     }
     if (has_upper_) {
-      if (options_.cell_width < CellWidth::k16) lv16_.clear();
-      if (options_.cell_width < CellWidth::k32) lv32_.clear();
-      if (options_.cell_width < CellWidth::k64) cells_.clear();
+      if (cell_width_ < CellWidth::k16) lv16_.clear();
+      if (cell_width_ < CellWidth::k32) lv32_.clear();
+      if (cell_width_ < CellWidth::k64) cells_.clear();
       has_upper_ = false;
     }
   }
 
   /// Promotes the base level to `new_base` (a wider width), preserving all
-  /// logical values. No-op if the base is already at least that wide. The
-  /// overflow policy is retained; saturated cells stay at their clipped
-  /// values.
+  /// logical values. No-op if the base is already at least that wide.
   void PromoteBase(CellWidth new_base) {
-    if (new_base <= options_.cell_width) return;
+    if (new_base <= cell_width_) return;
     const std::size_t n = NumCells();
     std::vector<CounterT> logical(n);
     for (std::size_t i = 0; i < n; ++i) logical[i] = AtFlat(i);
@@ -449,7 +408,7 @@ class CounterTable {
     cells_.clear();
     cells_.shrink_to_fit();
     has_upper_ = false;
-    options_.cell_width = new_base;
+    cell_width_ = new_base;
     EnsureLevelAllocated(new_base);
     for (std::size_t i = 0; i < n; ++i) {
       if (logical[i] != CounterT{}) AddAtFlat(i, logical[i]);
@@ -497,7 +456,7 @@ class CounterTable {
         if (cells_.empty()) cells_.assign(n, CounterT{});
         break;
     }
-    if (w > options_.cell_width) {
+    if (w > cell_width_) {
       has_upper_ = true;
       if (!was_allocated) table_telemetry::OverflowLevelAllocs().Inc();
     }
@@ -507,7 +466,7 @@ class CounterTable {
   /// construction: spills allocate strictly next-wider).
   int UpperLevelCount() const {
     int count = 0;
-    for (int w = static_cast<int>(options_.cell_width) + 1;
+    for (int w = static_cast<int>(cell_width_) + 1;
          w <= static_cast<int>(CellWidth::k64); ++w) {
       if (LevelAllocated(static_cast<CellWidth>(w))) ++count;
     }
@@ -570,17 +529,13 @@ class CounterTable {
            row_seeds_.size() * sizeof(std::uint64_t);
   }
 
-  /// One pass over the table for the SketchHealth report: logical fill,
-  /// overflow-spill residency, and (saturating policy only) cells pinned at
-  /// the clamp pattern. A cell that legitimately *reached* the clamp value
-  /// is indistinguishable from one clamped there; both read as saturated,
-  /// which is the conservative signal an operator wants. O(cells); callers
-  /// run it at report/health time, never on the ingest path.
+  /// One pass over the table for the SketchHealth report: logical fill and
+  /// overflow-spill residency. O(cells); callers run it at report/health
+  /// time, never on the ingest path.
   TableHealthCounts HealthCounts() const {
     TableHealthCounts out;
     out.cells = NumCells();
-    const bool saturating = options_.overflow == OverflowPolicy::kSaturate;
-    const CellWidth base = options_.cell_width;
+    const CellWidth base = cell_width_;
     for (std::size_t i = 0; i < out.cells; ++i) {
       if (AtFlat(i) != CounterT{}) ++out.nonzero;
       if (has_upper_) {
@@ -593,30 +548,11 @@ class CounterTable {
           }
         }
       }
-      if (saturating && base != CellWidth::k64) {
-        const std::uint64_t bits = LevelValueBits(base, i);
-        const int b = CellBits(base);
-        bool pinned;
-        if constexpr (std::is_signed_v<CounterT>) {
-          const std::int64_t v = static_cast<std::int64_t>(bits);
-          const std::int64_t maxv = (std::int64_t{1} << (b - 1)) - 1;
-          pinned = (v == maxv || v == -maxv - 1);
-        } else {
-          pinned = bits == (std::uint64_t{1} << b) - 1;
-        }
-        if (pinned) ++out.saturated;
-      }
     }
     return out;
   }
 
  private:
-  static std::uint64_t RoundUpPow2(std::uint64_t v) {
-    std::uint64_t p = 1;
-    while (p < v) p <<= 1;
-    return p;
-  }
-
   /// Two's-complement uint64 image of level `w` cell `i`, extended per
   /// CounterT's signedness — the representation all mod-2^64 level
   /// arithmetic runs in.
@@ -641,18 +577,6 @@ class CounterTable {
     }
   }
 
-  /// Clipped pattern for a non-fitting value (saturating policy only).
-  std::uint64_t ClampLevel(std::uint64_t bits, CellWidth w) const {
-    const int b = CellBits(w);
-    if constexpr (std::is_signed_v<CounterT>) {
-      const std::int64_t v = static_cast<std::int64_t>(bits);
-      const std::int64_t maxv = (std::int64_t{1} << (b - 1)) - 1;
-      return static_cast<std::uint64_t>(v > maxv ? maxv : -maxv - 1);
-    } else {
-      return (std::uint64_t{1} << b) - 1;
-    }
-  }
-
   static CounterT SaturatingTarget(CounterT best, CounterT count) {
     const CounterT maxv = std::numeric_limits<CounterT>::max();
     if (count > CounterT{} && best > static_cast<CounterT>(maxv - count)) {
@@ -662,22 +586,10 @@ class CounterTable {
                                  static_cast<std::uint64_t>(count));
   }
 
-  /// Cold path of a narrow unit increment whose base cell sits at the stop
-  /// pattern: spill +1 through the level chain, or nothing (saturating —
-  /// the stop pattern IS the clamp).
-  void SpillUnit(std::size_t flat) {
-    if (options_.overflow == OverflowPolicy::kSaturate) {
-      // Dropped unit increment at a stop-pattern cell: the clamp IS the
-      // stop value, so nothing is written — but the drop is a health
-      // signal (estimates under-count from here on).
-      table_telemetry::SaturatedClamps().Inc();
-      return;
-    }
-    AddAtFlat(flat, CounterT{1});
-  }
-
   /// Narrow-cell batched unit add: same cache blocking and micro-block
-  /// pipeline as the 64-bit path, with a stop-pattern check per increment.
+  /// pipeline as the 64-bit path, with a stop-pattern check per increment;
+  /// a cell at the stop pattern takes the cold spill path through
+  /// AddAtFlat.
   template <typename PhysT>
   void AddPrehashedNarrow(PhysT* level, const std::uint64_t* hashes,
                           std::size_t n, const kernels::KernelTable& k) {
@@ -685,7 +597,6 @@ class CounterTable {
         std::is_signed_v<CounterT>
             ? static_cast<PhysT>(static_cast<PhysT>(~PhysT{0}) >> 1)
             : static_cast<PhysT>(~PhysT{0});
-    const bool pow2 = options_.pow2_width;
     if (k.isa != simd::Isa::kScalar) {
       std::uint64_t idx[2][kernels::kMicroBlockItems];
       for (std::size_t base = 0; base < n; base += kBlockItems) {
@@ -699,18 +610,15 @@ class CounterTable {
           kernels::MicroBlockPipeline(
               block, m,
               [&](const std::uint64_t* p, std::size_t mm, int slot) {
-                if (pow2) {
-                  k.bucket_row_mask_cols(p, mm, seed, mask_, idx[slot]);
-                } else {
-                  k.bucket_row_cols(p, mm, seed, width_, idx[slot]);
-                }
+                k.bucket_row_cols(p, mm, seed, width_, idx[slot]);
               },
               [&](int slot, std::size_t mm) {
                 const std::uint64_t* const buf = idx[slot];
                 for (std::size_t i = 0; i < mm; ++i) {
                   const PhysT v = row[buf[i]];
                   if (v == kStop) {
-                    SpillUnit(static_cast<std::size_t>(row_base + buf[i]));
+                    AddAtFlat(static_cast<std::size_t>(row_base + buf[i]),
+                              CounterT{1});
                   } else {
                     row[buf[i]] = static_cast<PhysT>(v + PhysT{1});
                   }
@@ -727,28 +635,14 @@ class CounterTable {
         const std::uint64_t row_base = static_cast<std::uint64_t>(r) * width_;
         PhysT* const row = level + row_base;
         const std::uint64_t seed = row_seeds_[static_cast<std::size_t>(r)];
-        if (pow2) {
-          const std::uint64_t mask = mask_;
-          for (std::size_t i = 0; i < m; ++i) {
-            const std::uint64_t b = RemixHash(block[i], seed) & mask;
-            const PhysT v = row[b];
-            if (v == kStop) {
-              SpillUnit(static_cast<std::size_t>(row_base + b));
-            } else {
-              row[b] = static_cast<PhysT>(v + PhysT{1});
-            }
-          }
-        } else {
-          const std::uint64_t width = width_;
-          for (std::size_t i = 0; i < m; ++i) {
-            const std::uint64_t b =
-                FastRange64(RemixHash(block[i], seed), width);
-            const PhysT v = row[b];
-            if (v == kStop) {
-              SpillUnit(static_cast<std::size_t>(row_base + b));
-            } else {
-              row[b] = static_cast<PhysT>(v + PhysT{1});
-            }
+        const std::uint64_t width = width_;
+        for (std::size_t i = 0; i < m; ++i) {
+          const std::uint64_t b = FastRange64(RemixHash(block[i], seed), width);
+          const PhysT v = row[b];
+          if (v == kStop) {
+            AddAtFlat(static_cast<std::size_t>(row_base + b), CounterT{1});
+          } else {
+            row[b] = static_cast<PhysT>(v + PhysT{1});
           }
         }
       }
@@ -757,11 +651,10 @@ class CounterTable {
 
   int depth_;
   std::uint64_t width_;
-  CounterTableOptions options_;
-  std::uint64_t mask_ = 0;
+  CellWidth cell_width_;
   bool has_upper_ = false;
   std::vector<std::uint64_t> row_seeds_;
-  // Level chain, narrowest first. The base level (options_.cell_width) is
+  // Level chain, narrowest first. The base level (cell_width_) is
   // always allocated; wider levels appear lazily on first spill. `cells_`
   // doubles as the 64-bit base for default-width tables and as the final
   // spill level otherwise.

@@ -32,22 +32,19 @@ std::uint64_t WidthFromEpsilon(double epsilon) {
 
 CountMinSketch::CountMinSketch(const CountMinParams& params,
                                std::uint64_t seed,
-                               CounterTableOptions options)
+                               CellWidth cell_width)
     : CountMinSketch(DepthFromDelta(params.delta),
                      WidthFromEpsilon(params.epsilon),
-                     params.conservative_update, seed, options) {}
+                     params.conservative_update, seed, cell_width) {}
 
 CountMinSketch::CountMinSketch(int depth, std::uint64_t width,
                                bool conservative_update, std::uint64_t seed,
-                               CounterTableOptions options)
+                               CellWidth cell_width)
     : depth_(depth),
       width_(width),
       conservative_update_(conservative_update),
       seed_(seed),
-      table_(depth, width, seed, options) {
-  // The table may have rounded the width up to a power of two.
-  width_ = table_.width();
-}
+      table_(depth, width, seed, cell_width) {}
 
 void CountMinSketch::Update(const PrehashedItem& ph, count_t count) {
   total_ += count;
@@ -81,13 +78,9 @@ void CountMinSketch::Reset() {
 }
 
 bool CountMinSketch::MergeCompatibleWith(const CountMinSketch& other) const {
-  // Cell widths may differ (Merge promotes to the wider side), but the
-  // bucket reduction (mask vs fast-range places items differently) and the
-  // overflow policy must agree for the merged counters to mean anything.
+  // Cell widths may differ: Merge promotes to the wider side.
   return depth_ == other.depth_ && width_ == other.width_ &&
-         seed_ == other.seed_ &&
-         table_.pow2_width() == other.table_.pow2_width() &&
-         table_.overflow() == other.table_.overflow();
+         seed_ == other.seed_;
 }
 
 void CountMinSketch::Merge(const CountMinSketch& other, double weight) {
@@ -111,7 +104,6 @@ obs::SummaryHealth CountMinSketch::Health() const {
   health.cells = counts.cells;
   health.nonzero_cells = counts.nonzero;
   health.spilled_cells = counts.spilled;
-  health.saturated_cells = counts.saturated;
   health.epsilon = obs::CountMinEpsilon(width_);
   health.delta = obs::CountMinDelta(static_cast<std::uint64_t>(depth_));
   health.space_bytes = SpaceBytes();
@@ -125,8 +117,7 @@ void CountMinSketch::Serialize(serde::Writer& out) const {
   out.Varint(width_);
   out.Bool(conservative_update_);
   out.U64(seed_);
-  out.U8(static_cast<std::uint8_t>(table_.cell_width()));
-  out.U8(table_serde::FlagsOf(table_.options()));
+  table_serde::WriteCellWidth(out, table_.cell_width());
   out.Varint(total_);
   // Physical levels, base first. For the default 64-bit layout this is the
   // historical flat cell encoding plus a zero upper-level count.
@@ -139,8 +130,9 @@ std::optional<CountMinSketch> CountMinSketch::Deserialize(serde::Reader& in) {
   const std::uint64_t width = in.Varint();
   const bool conservative = in.Bool();
   const std::uint64_t seed = in.U64();
-  CounterTableOptions options;  // v2 records: 64-bit spill cells
-  if (in.record_version() >= 3 && !table_serde::ReadOptions(in, &options)) {
+  CellWidth cell_width = CellWidth::k64;  // v2 records: 64-bit cells
+  if (in.record_version() >= 3 &&
+      !table_serde::ReadCellWidth(in, &cell_width)) {
     return std::nullopt;
   }
   const count_t total = in.Varint();
@@ -150,13 +142,9 @@ std::optional<CountMinSketch> CountMinSketch::Deserialize(serde::Reader& in) {
       width > (1ULL << 48)) {
     return std::nullopt;
   }
-  // Serialized widths are post-rounding; a pow2 record with a non-pow2
-  // width would silently re-round on construction and desynchronize the
-  // cell count from the wire.
-  if (options.pow2_width && (width & (width - 1)) != 0) return std::nullopt;
   if (!in.CanHold(depth * width, 1)) return std::nullopt;
   CountMinSketch sketch(static_cast<int>(depth), width, conservative, seed,
-                        options);
+                        cell_width);
   sketch.total_ = total;
   if (!table_serde::ReadLevels(in, &sketch.table_,
                                in.record_version() == 2)) {
@@ -167,7 +155,7 @@ std::optional<CountMinSketch> CountMinSketch::Deserialize(serde::Reader& in) {
 
 CountMinHeavyHitters::CountMinHeavyHitters(double phi, double eps_resolution,
                                            double delta, std::uint64_t seed,
-                                           CounterTableOptions options)
+                                           CellWidth cell_width)
     : phi_(phi),
       sketch_(
           CountMinParams{
@@ -176,7 +164,7 @@ CountMinHeavyHitters::CountMinHeavyHitters(double phi, double eps_resolution,
               /*epsilon=*/0.5 * eps_resolution * phi,
               /*delta=*/delta,
               /*conservative_update=*/false},
-          seed, options) {
+          seed, cell_width) {
   SUBSTREAM_CHECK(phi > 0.0 && phi <= 1.0);
   SUBSTREAM_CHECK(eps_resolution > 0.0 && eps_resolution < 1.0);
   // At most 1/(phi (1 - eps)) items can be heavy; keep slack for churn.

@@ -47,15 +47,14 @@ struct CountMinParams {
 /// Estimate(i) <= f_i + eps * F1 with probability >= 1 - delta.
 class CountMinSketch {
  public:
-  /// `options` picks the physical cell storage (cell_width.h); the default
-  /// is the historical 64-bit layout. With the power-of-two option the
-  /// effective width() is the requested width rounded up to 2^k.
+  /// `cell_width` picks the physical cell storage (cell_width.h); the
+  /// default is the historical 64-bit layout.
   CountMinSketch(const CountMinParams& params, std::uint64_t seed,
-                 CounterTableOptions options = {});
+                 CellWidth cell_width = CellWidth::k64);
 
   /// Explicit geometry: depth rows x width counters.
   CountMinSketch(int depth, std::uint64_t width, bool conservative_update,
-                 std::uint64_t seed, CounterTableOptions options = {});
+                 std::uint64_t seed, CellWidth cell_width = CellWidth::k64);
 
   /// Adds `count` occurrences of `item`.
   void Update(item_t item, count_t count = 1) {
@@ -87,8 +86,7 @@ class CountMinSketch {
   /// sketch summarizes the concatenation of both streams. Merging standard
   /// (non-conservative) sketches is exact; conservative-update sketches
   /// merge by counter-wise max-sum and may further overestimate. Cell
-  /// widths may differ — this sketch promotes to the wider side — but the
-  /// bucket-reduction mode (pow2 flag) and overflow policy must match.
+  /// widths may differ: this sketch promotes to the wider side.
   /// Decayed merge: with `weight` in (0, 1), every counter of `other`
   /// contributes `round(weight * counter)` (CountMin is linear, so the
   /// result is the sketch of the weight-scaled stream up to rounding).
@@ -104,16 +102,13 @@ class CountMinSketch {
   int depth() const { return depth_; }
   std::uint64_t width() const { return width_; }
   std::uint64_t seed() const { return seed_; }
-  /// Storage policy of the counter table. cell_width reflects the *base*
-  /// level after any merge promotion.
-  const CounterTableOptions& table_options() const {
-    return table_.options();
-  }
+  /// Base cell width of the counter table, after any merge promotion.
+  CellWidth cell_width() const { return table_.cell_width(); }
 
   /// Sketch memory footprint in bytes (counters + row seeds).
   std::size_t SpaceBytes() const;
 
-  /// Health snapshot: geometry, counter-table fill/spill/saturation from a
+  /// Health snapshot: geometry, counter-table fill/spill from a
   /// full scan, and the analytic (eps, delta) the geometry buys
   /// (obs::CountMinEpsilon/Delta). O(depth * width) — report-time only.
   obs::SummaryHealth Health() const;
@@ -140,10 +135,11 @@ class CountMinSketch {
 class CountMinHeavyHitters {
  public:
   /// `phi` is the heavy-hitter fraction (alpha in Definition 4); the sketch
-  /// resolves frequencies to within eps_resolution * phi * F1. `options`
-  /// picks the nested sketch's cell storage.
+  /// resolves frequencies to within eps_resolution * phi * F1.
+  /// `cell_width` picks the nested sketch's cell storage.
   CountMinHeavyHitters(double phi, double eps_resolution, double delta,
-                       std::uint64_t seed, CounterTableOptions options = {});
+                       std::uint64_t seed,
+                       CellWidth cell_width = CellWidth::k64);
 
   void Update(item_t item, count_t count = 1) {
     Update(MakePrehashed(item), count);

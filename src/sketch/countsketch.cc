@@ -11,13 +11,11 @@
 namespace substream {
 
 CountSketch::CountSketch(int depth, std::uint64_t width, std::uint64_t seed,
-                         CounterTableOptions options)
+                         CellWidth cell_width)
     : depth_(depth),
       width_(width),
       seed_(seed),
-      table_(depth, width, seed, options) {
-  // The table may have rounded the width up to a power of two.
-  width_ = table_.width();
+      table_(depth, width, seed, cell_width) {
   row_sumsq_.assign(static_cast<std::size_t>(depth), 0.0);
   sign_hashes_.reserve(static_cast<std::size_t>(depth));
   for (int r = 0; r < depth; ++r) {
@@ -98,7 +96,6 @@ void CountSketch::UpdateAndEstimate(PrehashedColumns cols, std::size_t n,
   constexpr std::size_t kMicro = kernels::kMicroBlockItems;
   const kernels::KernelTable& k = kernels::Dispatch();
   const bool k64 = table_.cell_width() == CellWidth::k64;
-  const bool pow2 = table_.pow2_width();
   const auto d = static_cast<std::size_t>(depth_);
   // Per-row results of one micro-block, item-major (item i's rows at
   // [i * d, i * d + d)) so both medians run in place.
@@ -111,12 +108,7 @@ void CountSketch::UpdateAndEstimate(PrehashedColumns cols, std::size_t n,
     const std::uint64_t* const hashes = cols.hashes + base;
     const std::uint64_t* const items = cols.items + base;
     auto derive = [&](int r, int slot) {
-      if (pow2) {
-        k.bucket_row_mask_cols(hashes, m, table_.row_seed(r), width_ - 1,
-                               idx[slot]);
-      } else {
-        k.bucket_row_cols(hashes, m, table_.row_seed(r), width_, idx[slot]);
-      }
+      k.bucket_row_cols(hashes, m, table_.row_seed(r), width_, idx[slot]);
       k.sign_row4_cols(items, m,
                        sign_hashes_[static_cast<std::size_t>(r)]
                            .coefficients()
@@ -174,7 +166,6 @@ void CountSketch::UpdatePrehashed(PrehashedColumns cols, std::size_t n) {
   constexpr std::size_t kBlock = CounterTable<std::int64_t>::kBlockItems;
   const kernels::KernelTable& k = kernels::Dispatch();
   const bool k64 = table_.cell_width() == CellWidth::k64;
-  const bool pow2 = table_.pow2_width();
   if (k.isa != simd::Isa::kScalar) {
     // Vector path: derive bucket indices and signs lane-parallel into
     // micro-block stack buffers via the shared double-buffered pipeline
@@ -206,13 +197,8 @@ void CountSketch::UpdatePrehashed(PrehashedColumns cols, std::size_t n) {
         kernels::MicroBlockPipeline(
             std::size_t{0}, m,
             [&](std::size_t off, std::size_t mm, int slot) {
-              if (pow2) {
-                k.bucket_row_mask_cols(hashes + off, mm, row_seed,
-                                       width_ - 1, idx[slot]);
-              } else {
-                k.bucket_row_cols(hashes + off, mm, row_seed, width_,
-                                  idx[slot]);
-              }
+              k.bucket_row_cols(hashes + off, mm, row_seed, width_,
+                                idx[slot]);
               k.sign_row4_cols(items + off, mm, row_coeffs, sgn[slot]);
             },
             [&](int slot, std::size_t mm) {
@@ -252,9 +238,8 @@ void CountSketch::UpdatePrehashed(PrehashedColumns cols, std::size_t n) {
       const PolynomialHash& sign_hash = sign_hashes_[rr];
       double sumsq = row_sumsq_[rr];
       for (std::size_t i = 0; i < m; ++i) {
-        const std::uint64_t h = RemixHash(hashes[i], row_seed);
         const std::uint64_t b =
-            pow2 ? (h & (width_ - 1)) : FastRange64(h, width_);
+            FastRange64(RemixHash(hashes[i], row_seed), width_);
         const std::int64_t delta = sign_hash.Sign(items[i]);
         if (k64) {
           std::int64_t& cell = row[b];
@@ -280,12 +265,9 @@ void CountSketch::Reset() {
 }
 
 bool CountSketch::MergeCompatibleWith(const CountSketch& other) const {
-  // Cell widths may differ (Merge promotes to the wider side), but the
-  // bucket reduction and overflow policy must agree — see CountMin.
+  // Cell widths may differ: Merge promotes to the wider side.
   return depth_ == other.depth_ && width_ == other.width_ &&
-         seed_ == other.seed_ &&
-         table_.pow2_width() == other.table_.pow2_width() &&
-         table_.overflow() == other.table_.overflow();
+         seed_ == other.seed_;
 }
 
 void CountSketch::Merge(const CountSketch& other, double weight) {
@@ -375,7 +357,6 @@ obs::SummaryHealth CountSketch::Health() const {
   health.cells = counts.cells;
   health.nonzero_cells = counts.nonzero;
   health.spilled_cells = counts.spilled;
-  health.saturated_cells = counts.saturated;
   health.epsilon = obs::CountSketchEpsilon(width_);
   health.delta = obs::CountSketchDelta(static_cast<std::uint64_t>(depth_));
   health.space_bytes = SpaceBytes();
@@ -388,8 +369,7 @@ void CountSketch::Serialize(serde::Writer& out) const {
   out.Varint(static_cast<std::uint64_t>(depth_));
   out.Varint(width_);
   out.U64(seed_);
-  out.U8(static_cast<std::uint8_t>(table_.cell_width()));
-  out.U8(table_serde::FlagsOf(table_.options()));
+  table_serde::WriteCellWidth(out, table_.cell_width());
   out.Svarint(total_);
   // Row norms are serialized (not recomputed) so a decoded sketch is
   // bit-identical to the live one, incremental float error included.
@@ -404,8 +384,9 @@ std::optional<CountSketch> CountSketch::Deserialize(serde::Reader& in) {
   const std::uint64_t depth = in.Varint();
   const std::uint64_t width = in.Varint();
   const std::uint64_t seed = in.U64();
-  CounterTableOptions options;  // v2 records: 64-bit spill cells
-  if (in.record_version() >= 3 && !table_serde::ReadOptions(in, &options)) {
+  CellWidth cell_width = CellWidth::k64;  // v2 records: 64-bit cells
+  if (in.record_version() >= 3 &&
+      !table_serde::ReadCellWidth(in, &cell_width)) {
     return std::nullopt;
   }
   const std::int64_t total = in.Svarint();
@@ -413,10 +394,8 @@ std::optional<CountSketch> CountSketch::Deserialize(serde::Reader& in) {
       width > (1ULL << 48)) {
     return std::nullopt;
   }
-  // Serialized widths are post-rounding (see CountMin::Deserialize).
-  if (options.pow2_width && (width & (width - 1)) != 0) return std::nullopt;
   if (!in.CanHold(depth * width, 1)) return std::nullopt;
-  CountSketch sketch(static_cast<int>(depth), width, seed, options);
+  CountSketch sketch(static_cast<int>(depth), width, seed, cell_width);
   sketch.total_ = total;
   for (double& sumsq : sketch.row_sumsq_) sumsq = in.F64();
   if (!table_serde::ReadLevels(in, &sketch.table_,
@@ -443,7 +422,7 @@ CountSketchHeavyHitters::CountSketchHeavyHitters(double phi,
                                                  double eps_resolution,
                                                  double delta,
                                                  std::uint64_t seed,
-                                                 CounterTableOptions options)
+                                                 CellWidth cell_width)
     : phi_(phi),
       sketch_(DepthFromDelta(delta),
               // Point error ~ sqrt(F2/width); to resolve phi*sqrt(F2) with
@@ -453,7 +432,7 @@ CountSketchHeavyHitters::CountSketchHeavyHitters(double phi,
               std::max<std::uint64_t>(
                   8, static_cast<std::uint64_t>(std::ceil(
                          2.0 / (eps_resolution * eps_resolution * phi * phi)))),
-              seed, options) {
+              seed, cell_width) {
   SUBSTREAM_CHECK(phi > 0.0 && phi <= 1.0);
   SUBSTREAM_CHECK(eps_resolution > 0.0 && eps_resolution < 1.0);
   candidates_ = CandidatePool<double>(

@@ -42,11 +42,10 @@ namespace substream {
 /// failure probability exp(-Omega(depth)).
 class CountSketch {
  public:
-  /// `options` picks the physical cell storage (cell_width.h); narrow cells
-  /// hold *signed* counters (stop pattern at max-positive). With the
-  /// power-of-two option the effective width() is rounded up to 2^k.
+  /// `cell_width` picks the physical cell storage (cell_width.h); narrow
+  /// cells hold *signed* counters (stop pattern at max-positive).
   CountSketch(int depth, std::uint64_t width, std::uint64_t seed,
-              CounterTableOptions options = {});
+              CellWidth cell_width = CellWidth::k64);
 
   void Update(item_t item, std::int64_t count = 1) {
     Update(MakePrehashed(item), count);
@@ -117,15 +116,12 @@ class CountSketch {
   int depth() const { return depth_; }
   std::uint64_t width() const { return width_; }
   std::uint64_t seed() const { return seed_; }
-  /// Storage policy of the counter table (base width reflects any merge
-  /// promotion).
-  const CounterTableOptions& table_options() const {
-    return table_.options();
-  }
+  /// Base cell width of the counter table, after any merge promotion.
+  CellWidth cell_width() const { return table_.cell_width(); }
 
   std::size_t SpaceBytes() const;
 
-  /// Health snapshot: geometry, counter-table fill/spill/saturation from a
+  /// Health snapshot: geometry, counter-table fill/spill from a
   /// full scan, and the analytic (eps, delta) the geometry buys
   /// (obs::CountSketchEpsilon/Delta). O(depth * width) — report-time only.
   obs::SummaryHealth Health() const;
@@ -161,10 +157,10 @@ class CountSketchHeavyHitters {
  public:
   /// `phi`: F2-heavy fraction (item is heavy when f_i >= phi * sqrt(F2)).
   /// `eps_resolution`: relative precision of the recovered frequencies.
-  /// `options` picks the nested sketch's cell storage.
+  /// `cell_width` picks the nested sketch's cell storage.
   CountSketchHeavyHitters(double phi, double eps_resolution, double delta,
                           std::uint64_t seed,
-                          CounterTableOptions options = {});
+                          CellWidth cell_width = CellWidth::k64);
 
   void Update(item_t item, count_t count = 1) {
     Update(MakePrehashed(item), count);

@@ -48,7 +48,7 @@ IndykWoodruffEstimator::IndykWoodruffEstimator(const LevelSetParams& params,
     depths_.push_back(DepthSlot{
         CountSketch(params.cs_depth, params.cs_width,
                     DeriveSeed(seed, 0x100 + static_cast<std::uint64_t>(t)),
-                    CounterTableOptions{params.cell_width}),
+                    params.cell_width),
         CandidatePool<double>(candidate_capacity_),
         {},
         true});
@@ -464,7 +464,6 @@ obs::SummaryHealth IndykWoodruffEstimator::Health() const {
     health.cells += h.cells;
     health.nonzero_cells += h.nonzero_cells;
     health.spilled_cells += h.spilled_cells;
-    health.saturated_cells += h.saturated_cells;
   }
   health.epsilon = obs::CountSketchEpsilon(params_.cs_width);
   health.delta =

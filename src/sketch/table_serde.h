@@ -20,9 +20,9 @@
 /// Cells are varints of the raw zero-extended bit pattern for unsigned
 /// counters and svarints of the sign-extended value for signed counters —
 /// for the default 64-bit base this is byte-identical to the historical
-/// flat cell encoding, so v3 only appends fields. Flags: bit 0 =
-/// power-of-two masked width, bit 1 = saturating overflow. v2 records have
-/// none of these fields and decode as 64-bit-cell spill tables.
+/// flat cell encoding, so v3 only appends fields. The flags byte is
+/// reserved: writers emit 0 and readers reject anything else. v2 records
+/// have none of these fields and decode as 64-bit-cell tables.
 ///
 /// Serializing *physical* levels rather than logical sums keeps the
 /// cross-dispatch byte-equality pin meaningful: spills happen in stream
@@ -31,27 +31,23 @@
 namespace substream {
 namespace table_serde {
 
-/// Storage-flags byte of a v3 counter-table record.
-inline std::uint8_t FlagsOf(const CounterTableOptions& options) {
-  return static_cast<std::uint8_t>(
-      (options.pow2_width ? 1u : 0u) |
-      (options.overflow == OverflowPolicy::kSaturate ? 2u : 0u));
+/// Appends the cell-width byte and the reserved (zero) flags byte.
+inline void WriteCellWidth(serde::Writer& out, CellWidth cell_width) {
+  out.U8(static_cast<std::uint8_t>(cell_width));
+  out.U8(0);
 }
 
-/// Decodes the cell-width + flags bytes into `options`; false on a
-/// malformed pair. Call only on v3 records.
-inline bool ReadOptions(serde::Reader& in, CounterTableOptions* options) {
+/// Decodes the cell-width + flags bytes into `cell_width`; false on an
+/// unknown width or a nonzero flags byte. Call only on v3 records.
+inline bool ReadCellWidth(serde::Reader& in, CellWidth* cell_width) {
   const std::uint8_t cw = in.U8();
   const std::uint8_t flags = in.U8();
   if (!in.ok() || cw > static_cast<std::uint8_t>(CellWidth::k64) ||
-      flags > 3) {
+      flags != 0) {
     in.Fail();
     return false;
   }
-  options->cell_width = static_cast<CellWidth>(cw);
-  options->pow2_width = (flags & 1) != 0;
-  options->overflow =
-      (flags & 2) != 0 ? OverflowPolicy::kSaturate : OverflowPolicy::kSpill;
+  *cell_width = static_cast<CellWidth>(cw);
   return true;
 }
 
@@ -124,7 +120,7 @@ void WriteLevels(serde::Writer& out, const CounterTable<CounterT>& table) {
 }
 
 /// Reads levels into a freshly-constructed `table` whose geometry and
-/// options already match the record header. v2 records (no level framing)
+/// cell width already match the record header. v2 records (no level framing)
 /// are a bare 64-bit base level: pass `v2 = true`.
 template <typename CounterT>
 bool ReadLevels(serde::Reader& in, CounterTable<CounterT>* table, bool v2) {

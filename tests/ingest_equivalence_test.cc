@@ -112,26 +112,18 @@ TEST(IngestEquivalenceTest, CountMinCompactCells) {
   // (the top item appears far more than 255 times in the fixture stream,
   // so u8 and u16 tables spill mid-stream on every path).
   for (CellWidth cw : {CellWidth::k8, CellWidth::k16, CellWidth::k32}) {
-    for (bool pow2 : {false, true}) {
-      ExpectPathEquivalence([cw, pow2] {
-        return CountMinSketch(
-            /*depth=*/4, /*width=*/512, /*conservative_update=*/false,
-            /*seed=*/7,
-            CounterTableOptions{cw, OverflowPolicy::kSpill, pow2});
-      });
-    }
+    ExpectPathEquivalence([cw] {
+      return CountMinSketch(/*depth=*/4, /*width=*/512,
+                            /*conservative_update=*/false, /*seed=*/7, cw);
+    });
   }
 }
 
 TEST(IngestEquivalenceTest, CountSketchCompactCells) {
   for (CellWidth cw : {CellWidth::k8, CellWidth::k16, CellWidth::k32}) {
-    for (bool pow2 : {false, true}) {
-      ExpectPathEquivalence([cw, pow2] {
-        return CountSketch(/*depth=*/5, /*width=*/512, /*seed=*/13,
-                           CounterTableOptions{cw, OverflowPolicy::kSpill,
-                                               pow2});
-      });
-    }
+    ExpectPathEquivalence([cw] {
+      return CountSketch(/*depth=*/5, /*width=*/512, /*seed=*/13, cw);
+    });
   }
 }
 
@@ -144,7 +136,7 @@ TEST(IngestEquivalenceTest, CompactCellEstimatesMatchWide) {
   CountMinSketch wide(4, 512, false, 7);
   FeedItems(wide, s.data(), s.size());
   for (CellWidth cw : {CellWidth::k8, CellWidth::k16, CellWidth::k32}) {
-    CountMinSketch narrow(4, 512, false, 7, CounterTableOptions{cw});
+    CountMinSketch narrow(4, 512, false, 7, cw);
     FeedItems(narrow, s.data(), s.size());
     for (item_t x = 0; x < 512; ++x) {
       ASSERT_EQ(narrow.Estimate(x), wide.Estimate(x))
@@ -154,7 +146,7 @@ TEST(IngestEquivalenceTest, CompactCellEstimatesMatchWide) {
   CountSketch wide_cs(5, 512, 13);
   FeedItems(wide_cs, s.data(), s.size());
   for (CellWidth cw : {CellWidth::k8, CellWidth::k16, CellWidth::k32}) {
-    CountSketch narrow(5, 512, 13, CounterTableOptions{cw});
+    CountSketch narrow(5, 512, 13, cw);
     FeedItems(narrow, s.data(), s.size());
     for (item_t x = 0; x < 512; ++x) {
       const PrehashedItem ph = MakePrehashed(x);
@@ -162,24 +154,6 @@ TEST(IngestEquivalenceTest, CompactCellEstimatesMatchWide) {
           << "cell_bits=" << CellBits(cw) << " item=" << x;
     }
   }
-}
-
-TEST(IngestEquivalenceTest, SaturateModeClampsAtCellMax) {
-  // Saturating tables deliberately trade accuracy for never allocating:
-  // a u8 cell driven past its stop value pins at 254 + the unit that
-  // armed it — i.e. the estimate reads the stop value, never wraps, and
-  // never grows an overflow level (serialized record stays base-only).
-  CountMinSketch sat(2, 512, false, 7,
-                     CounterTableOptions{CellWidth::k8,
-                                         OverflowPolicy::kSaturate});
-  for (int i = 0; i < 1000; ++i) sat.Update(1);
-  EXPECT_EQ(sat.Estimate(1), 255u);
-  serde::Writer writer;
-  sat.Serialize(writer);
-  serde::Reader reader(writer.bytes());
-  auto decoded = CountMinSketch::Deserialize(reader);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->Estimate(1), 255u);
 }
 
 TEST(IngestEquivalenceTest, CountMinHeavyHitters) {

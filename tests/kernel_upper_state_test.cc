@@ -85,8 +85,6 @@ TEST(KernelUpperStateTest, EveryKernelReturnsWithCleanUpperState) {
           k.bucket_row_cols(hashes.data(), n, 9, 1000, idx.data()));
       EXPECT_UPPER_CLEAN(
           k.sign_row4_cols(items.data(), n, coeffs, signs.data()));
-      EXPECT_UPPER_CLEAN(
-          k.bucket_row_mask_cols(hashes.data(), n, 9, 1023, idx.data()));
     }
   }
 }

@@ -1,8 +1,8 @@
-/// SketchHealth pinned-value suite: fill / spill / saturation counts and
-/// the derived (epsilon, delta) bounds must match values hand-computed
-/// from the geometry alone. The CountMin cases pin the counter-table scan
-/// (one distinct item touches exactly `depth` cells; a u8 cell fed 300
-/// either spills or clamps depending on policy); the Monitor case pins the
+/// SketchHealth pinned-value suite: fill / spill counts and the derived
+/// (epsilon, delta) bounds must match values hand-computed from the
+/// geometry alone. The CountMin cases pin the counter-table scan (one
+/// distinct item touches exactly `depth` cells; a u8 cell fed 300 spills
+/// into a wider level); the Monitor case pins the
 /// end-to-end wiring on a pinned 10-distinct-item stream, where the KMV
 /// F0 backend's fill ratio is exactly 10/k.
 
@@ -41,10 +41,8 @@ TEST(SketchHealthTest, CountMinHandComputedGeometryAndBounds) {
   // One distinct item touches exactly one cell per row.
   EXPECT_EQ(h.nonzero_cells, 2u);
   EXPECT_EQ(h.spilled_cells, 0u);
-  EXPECT_EQ(h.saturated_cells, 0u);
   EXPECT_DOUBLE_EQ(h.fill_ratio, 2.0 / 16.0);
   EXPECT_DOUBLE_EQ(h.spill_fraction, 0.0);
-  EXPECT_DOUBLE_EQ(h.saturation_fraction, 0.0);
   // CountMin bounds from geometry: eps = e/width, delta = e^-depth.
   EXPECT_DOUBLE_EQ(h.epsilon, std::exp(1.0) / 8.0);
   EXPECT_DOUBLE_EQ(h.delta, std::exp(-2.0));
@@ -52,32 +50,14 @@ TEST(SketchHealthTest, CountMinHandComputedGeometryAndBounds) {
 }
 
 TEST(SketchHealthTest, SpillPolicyCountsPromotedCells) {
-  CounterTableOptions options;
-  options.cell_width = CellWidth::k8;
-  options.overflow = OverflowPolicy::kSpill;
-  CountMinSketch sketch(2, 8, false, 42, options);
+  CountMinSketch sketch(2, 8, false, 42, CellWidth::k8);
   sketch.Update(123, 300);  // exceeds a u8 cell; both rows must spill
   // Spill preserves exact values.
   EXPECT_EQ(sketch.Estimate(123), 300);
   const obs::SummaryHealth h = sketch.Health();
   EXPECT_EQ(h.nonzero_cells, 2u);
   EXPECT_EQ(h.spilled_cells, 2u);
-  EXPECT_EQ(h.saturated_cells, 0u);
   EXPECT_DOUBLE_EQ(h.spill_fraction, 2.0 / 16.0);
-}
-
-TEST(SketchHealthTest, SaturatePolicyCountsClampedCells) {
-  CounterTableOptions options;
-  options.cell_width = CellWidth::k8;
-  options.overflow = OverflowPolicy::kSaturate;
-  CountMinSketch sketch(2, 8, false, 42, options);
-  sketch.Update(123, 300);  // clamps at the u8 maximum
-  EXPECT_EQ(sketch.Estimate(123), 255);
-  const obs::SummaryHealth h = sketch.Health();
-  EXPECT_EQ(h.nonzero_cells, 2u);
-  EXPECT_EQ(h.spilled_cells, 0u);
-  EXPECT_EQ(h.saturated_cells, 2u);
-  EXPECT_DOUBLE_EQ(h.saturation_fraction, 2.0 / 16.0);
 }
 
 TEST(MonitorHealthTest, PinnedStreamHandComputedReport) {
@@ -117,7 +97,6 @@ TEST(MonitorHealthTest, PinnedStreamHandComputedReport) {
       hh->fill_ratio,
       static_cast<double>(hh->nonzero_cells) / static_cast<double>(hh->cells));
   EXPECT_EQ(hh->spilled_cells, 0u);
-  EXPECT_EQ(hh->saturated_cells, 0u);
 
   const obs::SummaryHealth* f2 = FindSummary(report, "f2");
   ASSERT_NE(f2, nullptr);

@@ -280,6 +280,35 @@ TEST(SerdeCorruptTest, ZeroCandidateCapacityIsRejected) {
   EXPECT_FALSE(MakeDecoder<CountSketchHeavyHitters>()(cs));
 }
 
+// The counter-table flags byte after the cell-width byte is reserved: the
+// writers emit 0 and the decoders reject every other value.
+TEST(SerdeCorruptTest, NonzeroStorageFlagsAreRejected) {
+  CountMinSketch cm_sketch(2, 8, false, 5, CellWidth::k8);
+  for (int i = 0; i < 300; ++i) cm_sketch.Update(1);
+  CountSketch cs_sketch(3, 64, 5);
+  FeedAll(cs_sketch);
+  Bytes cm = Encode(cm_sketch);
+  Bytes cs = Encode(cs_sketch);
+  // CountMin: tag, version, depth, width, conservative flag, u64 seed,
+  // then cell width (k8 = 0) and flags. CountSketch has no conservative
+  // flag and a 64-bit base (k64 = 3).
+  constexpr std::size_t kCmFlags = 14;
+  constexpr std::size_t kCsFlags = 13;
+  ASSERT_EQ(cm[kCmFlags - 1], 0);
+  ASSERT_EQ(cm[kCmFlags], 0);
+  ASSERT_EQ(cs[kCsFlags - 1], 3);
+  ASSERT_EQ(cs[kCsFlags], 0);
+  EXPECT_TRUE(MakeDecoder<CountMinSketch>()(cm));
+  EXPECT_TRUE(MakeDecoder<CountSketch>()(cs));
+  for (std::uint8_t flags : {1, 2, 3, 4}) {
+    SCOPED_TRACE(static_cast<int>(flags));
+    cm[kCmFlags] = flags;
+    cs[kCsFlags] = flags;
+    EXPECT_FALSE(MakeDecoder<CountMinSketch>()(cm));
+    EXPECT_FALSE(MakeDecoder<CountSketch>()(cs));
+  }
+}
+
 TEST(SerdeCorruptTest, F0Estimator) {
   for (F0Backend backend :
        {F0Backend::kKmv, F0Backend::kHyperLogLog, F0Backend::kExact}) {

@@ -144,7 +144,7 @@ void ExpectDispatchEquivalenceOnStream(Factory make, const Stream& s) {
 
 /// `reps` copies of a hot item interleaved with distinct background items,
 /// so vector lanes carry mixed buckets while one bucket is driven across a
-/// narrow cell's saturation point.
+/// narrow cell's stop value.
 Stream SpillBoundaryStream(std::uint64_t reps) {
   Stream s;
   s.reserve(2 * reps);
@@ -216,21 +216,15 @@ TEST(SimdEquivalenceTest, CountMinOddGeometries) {
 }
 
 TEST(SimdEquivalenceTest, CountMinCellWidthMatrix) {
-  // Full cell-width x bucket-placement matrix: every compact storage
-  // policy must stay byte-identical across dispatch levels (the vector
-  // index derivations and the typed scalar loops share this gate).
+  // Every cell width must stay byte-identical across dispatch levels (the
+  // vector index derivations and the typed scalar loops share this gate).
   for (CellWidth cw : {CellWidth::k8, CellWidth::k16, CellWidth::k32,
                        CellWidth::k64}) {
-    for (bool pow2 : {false, true}) {
-      SCOPED_TRACE(testing::Message() << "cell_bits=" << CellBits(cw)
-                                      << " pow2=" << pow2);
-      ExpectDispatchEquivalence([cw, pow2] {
-        return CountMinSketch(
-            /*depth=*/4, /*width=*/512, /*conservative_update=*/false,
-            /*seed=*/7,
-            CounterTableOptions{cw, OverflowPolicy::kSpill, pow2});
-      });
-    }
+    SCOPED_TRACE(testing::Message() << "cell_bits=" << CellBits(cw));
+    ExpectDispatchEquivalence([cw] {
+      return CountMinSketch(/*depth=*/4, /*width=*/512,
+                            /*conservative_update=*/false, /*seed=*/7, cw);
+    });
   }
 }
 
@@ -240,38 +234,31 @@ TEST(SimdEquivalenceTest, CountSketchCellWidthMatrix) {
   // pins the floating-point accumulation order across levels.
   for (CellWidth cw : {CellWidth::k8, CellWidth::k16, CellWidth::k32,
                        CellWidth::k64}) {
-    for (bool pow2 : {false, true}) {
-      SCOPED_TRACE(testing::Message() << "cell_bits=" << CellBits(cw)
-                                      << " pow2=" << pow2);
-      ExpectDispatchEquivalence([cw, pow2] {
-        return CountSketch(
-            /*depth=*/5, /*width=*/512, /*seed=*/13,
-            CounterTableOptions{cw, OverflowPolicy::kSpill, pow2});
-      });
-    }
+    SCOPED_TRACE(testing::Message() << "cell_bits=" << CellBits(cw));
+    ExpectDispatchEquivalence([cw] {
+      return CountSketch(/*depth=*/5, /*width=*/512, /*seed=*/13, cw);
+    });
   }
 }
 
 TEST(SimdEquivalenceTest, CountMinCellWidthNonPow2Width) {
-  // Non-power-of-two width keeps fast-range placement in the narrow typed
-  // loops and the vector bucket derivation.
+  // A non-power-of-two width gives fast-range a non-trivial reduction in
+  // the narrow typed loops and the vector bucket derivation.
   for (CellWidth cw : {CellWidth::k8, CellWidth::k16, CellWidth::k32}) {
     ExpectDispatchEquivalence([cw] {
       return CountMinSketch(/*depth=*/3, /*width=*/389,
-                            /*conservative_update=*/false, /*seed=*/101,
-                            CounterTableOptions{cw});
+                            /*conservative_update=*/false, /*seed=*/101, cw);
     });
   }
 }
 
 TEST(SimdEquivalenceTest, CountMinSpillBoundary) {
   // Drive a hot bucket exactly to, one below, and one above a narrow
-  // cell's saturation point under both overflow policies. The spill cold
-  // path must fire identically from the vector levels' index replay and
-  // from the scalar loops, and the resulting level chain (or saturated
-  // cell) must serialize byte-equal at every dispatch level. The narrow
-  // estimates must also match a 64-bit sketch of the same seed exactly
-  // (spill mode only; saturate mode deliberately clamps).
+  // cell's stop value. The spill cold path must fire identically from the
+  // vector levels' index replay and from the scalar loops, and the
+  // resulting level chain must serialize byte-equal at every dispatch
+  // level. The narrow estimates must also match a 64-bit sketch of the
+  // same seed exactly.
   struct Case {
     CellWidth cw;
     std::uint64_t sat;  // unit-increment stop value of the base cell
@@ -279,31 +266,24 @@ TEST(SimdEquivalenceTest, CountMinSpillBoundary) {
   for (const Case& c : {Case{CellWidth::k8, 255},
                         Case{CellWidth::k16, 65535}}) {
     for (std::uint64_t reps : {c.sat - 1, c.sat, c.sat + 1}) {
-      for (OverflowPolicy policy :
-           {OverflowPolicy::kSpill, OverflowPolicy::kSaturate}) {
-        SCOPED_TRACE(testing::Message()
-                     << "cell_bits=" << CellBits(c.cw) << " reps=" << reps
-                     << " saturate="
-                     << (policy == OverflowPolicy::kSaturate));
-        const Stream s = SpillBoundaryStream(reps);
-        auto make = [&] {
-          return CountMinSketch(
-              /*depth=*/2, /*width=*/512, /*conservative_update=*/false,
-              /*seed=*/7, CounterTableOptions{c.cw, policy});
-        };
-        ExpectDispatchEquivalenceOnStream(make, s);
-        if (policy == OverflowPolicy::kSpill) {
-          DispatchGuard guard;
-          kernels::SetActive(simd::Best());
-          auto narrow = make();
-          CountMinSketch wide(2, 512, false, 7);
-          FeedItems(narrow, s.data(), s.size());
-          FeedItems(wide, s.data(), s.size());
-          for (item_t x = 1; x < 64; ++x) {
-            ASSERT_EQ(narrow.Estimate(x), wide.Estimate(x))
-                << "spill promotion changed the estimate of item " << x;
-          }
-        }
+      SCOPED_TRACE(testing::Message()
+                   << "cell_bits=" << CellBits(c.cw) << " reps=" << reps);
+      const Stream s = SpillBoundaryStream(reps);
+      auto make = [&] {
+        return CountMinSketch(/*depth=*/2, /*width=*/512,
+                              /*conservative_update=*/false, /*seed=*/7,
+                              c.cw);
+      };
+      ExpectDispatchEquivalenceOnStream(make, s);
+      DispatchGuard guard;
+      kernels::SetActive(simd::Best());
+      auto narrow = make();
+      CountMinSketch wide(2, 512, false, 7);
+      FeedItems(narrow, s.data(), s.size());
+      FeedItems(wide, s.data(), s.size());
+      for (item_t x = 1; x < 64; ++x) {
+        ASSERT_EQ(narrow.Estimate(x), wide.Estimate(x))
+            << "spill promotion changed the estimate of item " << x;
       }
     }
   }
@@ -311,21 +291,16 @@ TEST(SimdEquivalenceTest, CountMinSpillBoundary) {
 
 TEST(SimdEquivalenceTest, CountSketchSpillBoundary) {
   // Signed narrow cells: the stop value is the max-positive pattern.
-  // Exercise the 8-bit boundary under both policies across all levels.
+  // Exercise the 8-bit boundary across all levels.
   for (std::uint64_t reps : {126ULL, 127ULL, 128ULL, 129ULL}) {
-    for (OverflowPolicy policy :
-         {OverflowPolicy::kSpill, OverflowPolicy::kSaturate}) {
-      SCOPED_TRACE(testing::Message()
-                   << "reps=" << reps << " saturate="
-                   << (policy == OverflowPolicy::kSaturate));
-      const Stream s = SpillBoundaryStream(reps);
-      ExpectDispatchEquivalenceOnStream(
-          [policy] {
-            return CountSketch(/*depth=*/3, /*width=*/512, /*seed=*/13,
-                               CounterTableOptions{CellWidth::k8, policy});
-          },
-          s);
-    }
+    SCOPED_TRACE(testing::Message() << "reps=" << reps);
+    const Stream s = SpillBoundaryStream(reps);
+    ExpectDispatchEquivalenceOnStream(
+        [] {
+          return CountSketch(/*depth=*/3, /*width=*/512, /*seed=*/13,
+                             CellWidth::k8);
+        },
+        s);
   }
 }
 

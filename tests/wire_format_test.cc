@@ -1,11 +1,11 @@
 /// Golden-bytes wire-compatibility tests for the counter-table wire format.
 ///
-/// Format v3 added the compact-cell storage policy: every counter-table
-/// record carries a cell-width byte and a flags byte (pow2 placement,
-/// saturate mode) after the seed, and a varint count of overflow-spill
-/// levels after the base cells. v2 records (fixed 64-bit cells, no policy
-/// header) still decode — kMinDecodableVersion is 2 — and map onto the
-/// 64-bit-cell configuration, so pre-upgrade checkpoints keep restoring.
+/// Format v3 added compact cells: every counter-table record carries a
+/// cell-width byte and a reserved flags byte (always 0) after the seed,
+/// and a varint count of overflow-spill levels after the base cells. v2
+/// records (fixed 64-bit cells, no cell-width header) still decode —
+/// kMinDecodableVersion is 2 — and map onto the 64-bit-cell
+/// configuration, so pre-upgrade checkpoints keep restoring.
 /// v1 records (pre-refactor polynomial bucket placement) stay rejected:
 /// their counter placement is meaningless under the prehash-remix
 /// derivations. Format v4 added the Monitor-level raw_updates field for
@@ -107,8 +107,7 @@ TEST(WireFormatTest, CompactCellSpillGoldenBytes) {
   // the record must carry cell_width=k8, a non-zero upper-level count, and
   // the spilled 16-bit level — pinned byte-for-byte so the level-chain
   // framing cannot drift silently.
-  CountMinSketch cm(2, 8, false, 5,
-                    CounterTableOptions{CellWidth::k8});
+  CountMinSketch cm(2, 8, false, 5, CellWidth::k8);
   for (int i = 0; i < 300; ++i) cm.Update(1);
   cm.Update(2);
   EXPECT_EQ(HexRecord(cm), kCompactSpillGolden);
@@ -126,16 +125,13 @@ TEST(WireFormatTest, V2RecordDecodesAsWide64) {
   // The exact v2 golden bytes this suite pinned before the compact-cell
   // format change (CountMin(2, 8, false, 5) fed {1,2,3,1,2,1}). A v3
   // decoder must keep accepting them — kMinDecodableVersion == 2 — and
-  // materialize the historical layout: 64-bit cells, fast-range placement,
-  // spill mode, no overflow levels.
+  // materialize the historical layout: 64-bit cells, no overflow levels.
   const auto bytes = HexToBytes(
       "010202080005000000000000000600000001030000020000000000040002");
   serde::Reader reader(bytes);
   auto decoded = CountMinSketch::Deserialize(reader);
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->table_options().cell_width, CellWidth::k64);
-  EXPECT_EQ(decoded->table_options().overflow, OverflowPolicy::kSpill);
-  EXPECT_FALSE(decoded->table_options().pow2_width);
+  EXPECT_EQ(decoded->cell_width(), CellWidth::k64);
   // Estimates agree with a live sketch fed the same stream.
   CountMinSketch live(2, 8, false, 5);
   for (item_t x : {1ULL, 2ULL, 3ULL, 1ULL, 2ULL, 1ULL}) live.Update(x);
