@@ -1,7 +1,8 @@
 /// Windowed/decayed monitoring benchmark: rotation cost and merge-at-query
-/// latency for the WindowedMonitor ring, plus the sharded pipeline's
-/// stall-free Rotate() and CollectWindow() costs — the numbers behind the
-/// README's rotation cost model.
+/// latency for the WindowedMonitor ring, the Monitor::Report() readout of
+/// the merged windows on its own, plus the sharded pipeline's stall-free
+/// Rotate() and CollectWindow() costs — the numbers behind the README's
+/// rotation cost model.
 ///
 ///   ./bench_windowed [items_per_window] [windows] [repeats]
 ///
@@ -117,6 +118,14 @@ int main(int argc, char** argv) {
       EmitRow("windowed_monitor", mode, windows, items_per_window, query_ns,
               1e9 / query_ns);
     }
+    // Readout alone: Report() on the monitor merged over every retained
+    // window, the merge outside the stopwatch.
+    const Monitor merged = ring.MergedOverLast(windows);
+    const double readout_ns =
+        BestNsPerOp(repeats, 3, [&] { (void)merged.Report(); });
+    EmitRow("monitor", "report", windows, items_per_window, readout_ns,
+            1e9 / readout_ns);
+
     WindowedMonitorOptions decay_options;
     decay_options.windows = windows;
     decay_options.decay = 0.8;

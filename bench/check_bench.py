@@ -9,8 +9,9 @@
 Checks the row schema and required modes, the planner A/B fit and accuracy,
 the sampled-ingest accuracy and shedding speedup, the telemetry overhead
 ratio, the per-ISA kernel ladder and cell-width rows, every throughput floor
-listed in bench/baseline.json, and the windowed modes. Prints one line per
-passed gate and exits non-zero with a message at the first failed one.
+listed in bench/baseline.json, the windowed modes, and every latency ceiling
+listed there. Prints one line per passed gate and exits non-zero with a
+message at the first failed one.
 """
 
 import argparse
@@ -24,6 +25,8 @@ WINDOWED_KEYS = {"bench", "target", "mode", "windows", "items", "ns_per_op",
                  "ops_per_sec", "isa", "compiler", "build"}
 # A gated row fails when it reads more than 20% below its floor.
 KEEP = 0.8
+# A latency row fails when it reads more than 25% above its ceiling.
+SLACK = 1.25
 
 
 def fail(message):
@@ -181,6 +184,7 @@ def check_windowed(wrows):
     for required in (("windowed_monitor", "rotate"),
                      ("windowed_monitor", "report_k1"),
                      ("windowed_monitor", "report_decayed"),
+                     ("monitor", "report"),
                      ("sharded_monitor", "rotate"),
                      ("sharded_monitor", "collect_window")):
         if required not in wmodes:
@@ -188,6 +192,25 @@ def check_windowed(wrows):
     for row in wrows:
         if row["ns_per_op"] < 0:
             fail("negative ns_per_op in BENCH_windowed.json")
+
+
+def check_ceilings(wrows, baseline_path):
+    with open(baseline_path) as f:
+        baseline = json.load(f)
+    for ceiling in baseline["ceilings"]:
+        match = ceiling["row"]
+        row = next((r for r in wrows
+                    if all(r.get(k) == v for k, v in match.items())), None)
+        if row is None:
+            fail(f"no row matches ceiling {ceiling['name']} ({match})")
+        got = row["ns_per_op"]
+        want = ceiling["ns_per_op"]
+        if got > SLACK * want:
+            fail(f"{ceiling['name']}: {got:.0f} ns/op is more than "
+                 f"{SLACK - 1:.0%} above the committed ceiling "
+                 f"{want:.0f} ({baseline_path})")
+        print(f"{ceiling['name']}: {got / 1e6:.2f} ms/op "
+              f"(ceiling {want / 1e6:.2f} ms)")
 
 
 def main():
@@ -209,6 +232,7 @@ def main():
     check_floors(rows, args.baseline)
     wrows = load_rows(args.windowed, WINDOWED_KEYS)
     check_windowed(wrows)
+    check_ceilings(wrows, args.baseline)
     print(f"validated {len(rows) + len(wrows)} benchmark rows")
 
 

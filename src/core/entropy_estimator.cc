@@ -108,11 +108,12 @@ EntropyResult EntropyEstimator::Estimate() const {
   result.threshold = ValidityThreshold(params_.p, n);
 
   if (mle_) {
+    const EntropyMleReadout read =
+        mle_->Readout(n > 0.0 ? params_.p * n : 0.0);
     result.entropy = params_.backend == EntropyBackend::kMillerMadow
-                         ? mle_->EstimateMillerMadow()
-                         : mle_->Estimate();
-    result.entropy_hpn =
-        n > 0.0 ? mle_->EstimateHpn(params_.p * n) : result.entropy;
+                         ? read.miller_madow
+                         : read.plug_in;
+    result.entropy_hpn = n > 0.0 ? read.hpn : result.entropy;
   } else {
     // Entropy is nonnegative; clamp the (unbiased, possibly negative)
     // sketch estimate at the reporting layer.

@@ -131,22 +131,18 @@ void FkEstimator::Reset() {
   }
 }
 
-double FkEstimator::CollisionsOf(int l) const {
+std::vector<double> FkEstimator::CollisionEstimates() const {
+  if (params_.k < 2) return {};
+  // One readout serves every l = 2..k.
   switch (params_.backend) {
     case CollisionBackend::kSketch:
-      return sketch_backend_->EstimateCollisions(l);
+      return sketch_backend_->EstimateCollisions(2, params_.k);
     case CollisionBackend::kExactCollisions:
-      return exact_backend_->ExactCollisions(l);
+      return exact_backend_->ExactCollisions(2, params_.k);
     case CollisionBackend::kExactLevelSets:
-      return exact_backend_->EstimateCollisions(l);
+      return exact_backend_->EstimateCollisions(2, params_.k);
   }
-  return 0.0;
-}
-
-std::vector<double> FkEstimator::CollisionEstimates() const {
-  std::vector<double> out;
-  for (int l = 2; l <= params_.k; ++l) out.push_back(CollisionsOf(l));
-  return out;
+  return {};
 }
 
 std::vector<double> FkEstimator::AllMoments() const {
@@ -154,8 +150,10 @@ std::vector<double> FkEstimator::AllMoments() const {
   phi.reserve(static_cast<std::size_t>(params_.k));
   // phi~_1 = F1(L) / p: the sampled length, unbiased by 1/p (Chernoff-tight).
   phi.push_back(static_cast<double>(sampled_length_) / params_.p);
+  const std::vector<double> collisions = CollisionEstimates();
   for (int l = 2; l <= params_.k; ++l) {
-    const double collisions_sampled = CollisionsOf(l);
+    const double collisions_sampled =
+        collisions[static_cast<std::size_t>(l - 2)];
     const double collisions_original =
         UnbiasedOriginalCollisions(collisions_sampled, params_.p, l);
     double value = MomentFromCollisions(l, collisions_original, phi);

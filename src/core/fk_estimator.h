@@ -107,7 +107,8 @@ class FkEstimator {
   /// The whole ladder phi~_1 .. phi~_k (estimates of F_1(P) .. F_k(P)).
   std::vector<double> AllMoments() const;
 
-  /// The raw collision estimates C~_l(L) for l = 2..k (diagnostics).
+  /// The raw collision estimates C~_l(L) for l = 2..k (diagnostics), all
+  /// from one readout of the backend.
   std::vector<double> CollisionEstimates() const;
 
   /// Number of sampled-stream elements consumed, i.e. F1(L).
@@ -152,8 +153,6 @@ class FkEstimator {
   // Exactly one backend is active, per params_.backend.
   std::unique_ptr<IndykWoodruffEstimator> sketch_backend_;
   std::unique_ptr<ExactLevelSets> exact_backend_;
-
-  double CollisionsOf(int l) const;
 };
 
 }  // namespace substream

@@ -14,35 +14,26 @@ void EntropyMleEstimator::Update(item_t item) {
   ++total_;
 }
 
-double EntropyMleEstimator::Estimate() const {
-  if (total_ == 0) return 0.0;
+EntropyMleReadout EntropyMleEstimator::Readout(double expected_length) const {
+  EntropyMleReadout out;
+  if (total_ == 0) return out;
   const double n = static_cast<double>(total_);
-  KahanSum sum;
-  for (const auto& [item, count] : counts_) {
-    (void)item;
-    sum.Add(EntropyTerm(static_cast<double>(count), n));
-  }
-  return sum.Value();
-}
-
-double EntropyMleEstimator::EstimateMillerMadow() const {
-  if (total_ == 0) return 0.0;
-  const double correction =
-      (static_cast<double>(counts_.size()) - 1.0) /
-      (2.0 * static_cast<double>(total_) * std::log(2.0));
-  return Estimate() + correction;
-}
-
-double EntropyMleEstimator::EstimateHpn(double expected_length) const {
-  SUBSTREAM_CHECK(expected_length > 0.0);
-  KahanSum sum;
+  KahanSum plug_in;
+  KahanSum hpn;
   for (const auto& [item, count] : counts_) {
     (void)item;
     const double g = static_cast<double>(count);
-    if (g >= expected_length) continue;  // convention: term -> 0
-    sum.Add((g / expected_length) * std::log2(expected_length / g));
+    plug_in.Add(EntropyTerm(g, n));
+    if (g < expected_length) {  // else, by convention, the term is 0
+      hpn.Add((g / expected_length) * std::log2(expected_length / g));
+    }
   }
-  return sum.Value();
+  out.plug_in = plug_in.Value();
+  const double correction =
+      (static_cast<double>(counts_.size()) - 1.0) / (2.0 * n * std::log(2.0));
+  out.miller_madow = out.plug_in + correction;
+  out.hpn = hpn.Value();
+  return out;
 }
 
 bool EntropyMleEstimator::MergeCompatibleWith(

@@ -24,6 +24,20 @@
 
 namespace substream {
 
+/// The entropies EntropyMleEstimator reads off its counts in one walk (all
+/// in bits).
+struct EntropyMleReadout {
+  /// Plug-in H(g) = sum (g_i/n') lg(n'/g_i), n' the consumed length.
+  double plug_in = 0.0;
+  /// Miller–Madow bias-corrected entropy: plug_in + (F0 - 1)/(2 n' ln 2).
+  double miller_madow = 0.0;
+  /// The paper's H_pn(g) = sum (g_i/(p n)) lg(p n / g_i): the entropy
+  /// normalized by the *expected* sampled length p*n instead of the
+  /// realized one (Proposition 1 shows they differ by O(log m / sqrt(pn))).
+  /// Items with g_i >= p n contribute 0.
+  double hpn = 0.0;
+};
+
 /// Plug-in (maximum-likelihood) entropy of the consumed stream.
 class EntropyMleEstimator {
  public:
@@ -61,15 +75,11 @@ class EntropyMleEstimator {
   }
 
   /// H(g) = sum (g_i/n') lg(n'/g_i) where n' is the consumed length.
-  double Estimate() const;
+  double Estimate() const { return Readout(0.0).plug_in; }
 
-  /// Miller–Madow bias-corrected entropy: H_MLE + (F0 - 1)/(2 n' ln 2).
-  double EstimateMillerMadow() const;
-
-  /// The paper's H_pn(g) = sum (g_i/(p n)) lg(p n / g_i), the entropy
-  /// normalized by the *expected* sampled length p*n instead of the realized
-  /// one (Proposition 1 shows they differ by O(log m / sqrt(pn))).
-  double EstimateHpn(double expected_length) const;
+  /// Plug-in, Miller–Madow and H_pn at `expected_length` = p n, from one
+  /// walk of the counts (H_pn reads 0 when `expected_length` <= 0).
+  EntropyMleReadout Readout(double expected_length) const;
 
   count_t ConsumedLength() const { return total_; }
 

@@ -19,6 +19,29 @@ int LevelIndex(double g, double eta, double eps_prime) {
   return std::max(0, i);
 }
 
+namespace {
+
+// For each l in [first, last], the compensated sum of term(x, l) over
+// `range` in iteration order: entry l - first is bitwise what a single-l
+// pass over the same range gives.
+template <typename Range, typename Term>
+std::vector<double> SumPerOrder(const Range& range, int first, int last,
+                                Term term) {
+  SUBSTREAM_CHECK(first >= 1 && first <= last);
+  std::vector<KahanSum> sums(static_cast<std::size_t>(last - first + 1));
+  for (const auto& x : range) {
+    for (int l = first; l <= last; ++l) {
+      sums[static_cast<std::size_t>(l - first)].Add(term(x, l));
+    }
+  }
+  std::vector<double> out;
+  out.reserve(sums.size());
+  for (const KahanSum& sum : sums) out.push_back(sum.Value());
+  return out;
+}
+
+}  // namespace
+
 double DrawEta(std::uint64_t seed) {
   const double unit =
       static_cast<double>(Mix64(seed ^ 0xe7a1u) >> 11) * 0x1.0p-53;
@@ -237,45 +260,91 @@ std::vector<LevelSetEstimate> IndykWoodruffEstimator::EstimateLevelSets()
       break;
     }
   }
-  // Counts level members at the chosen depth, preferring exact sparse
-  // counts (more members, zero classification noise) whenever a depth no
-  // deeper than the CountSketch-recoverable one is exactly counted.
-  // `exact_slack` relaxes that depth comparison: integer bins pass a small
-  // slack because CountSketch classification leaks *phantom* members into
-  // small-frequency bins (light items whose point estimate collides upward
-  // past the heavy threshold — a systematic overestimate), while their
-  // populous level sets tolerate the <= 2^slack extra subsample variance.
-  // Geometric levels pass zero: they can hold O(1) genuinely-heavy members
-  // whose recovery CountSketch handles reliably, and any avoidable
-  // subsampling there is catastrophic. Returns {members, depth used}.
-  struct LevelCount {
-    double members;
+  // Small frequencies go to exact integer bins 1..g0; geometric levels
+  // start strictly above that range.
+  const int g0 = std::max(1, params_.integer_bin_max);
+  const double geometric_start = static_cast<double>(g0) + 0.5;
+
+  // One source's surviving members, classified once: the integer bin j
+  // (g in [j - 0.5, j + 0.5)) or the geometric level LevelIndex(g) of
+  // each, sorted so a level's member count is one equal_range.
+  struct Classified {
+    bool ready = false;
+    std::vector<int> bins;
+    std::vector<int> levels;
+  };
+  auto classify = [&](Classified& c, double g) {
+    if (g >= geometric_start) {
+      c.levels.push_back(LevelIndex(g, eta_, params_.eps_prime));
+      return;
+    }
+    // g < g0 + 0.5, so only bins up to g0 can hold it. The rounded value
+    // is within one of the bin; the bin predicate itself decides.
+    const int r = static_cast<int>(std::floor(g + 0.5));
+    for (int j = std::max(1, r - 1); j <= std::min(g0, r + 1); ++j) {
+      const double v = static_cast<double>(j);
+      if (g >= v - 0.5 && g < v + 0.5) c.bins.push_back(j);
+    }
+  };
+  auto finish = [](Classified& c) {
+    std::sort(c.bins.begin(), c.bins.end());
+    std::sort(c.levels.begin(), c.levels.end());
+    c.ready = true;
+  };
+  auto members_of = [](const std::vector<int>& sorted, int key) {
+    const auto range = std::equal_range(sorted.begin(), sorted.end(), key);
+    return static_cast<double>(range.second - range.first);
+  };
+  Classified exact;
+  std::vector<Classified> sketched(depths_.size());
+
+  // The source a level is read from, walked on first use only: the exact
+  // sparse counts (more members, zero classification noise) whenever a
+  // depth no deeper than the CountSketch-recoverable one is exactly
+  // counted, else that depth's candidates whose estimate reaches half an
+  // occurrence and clears its heavy threshold. `exact_slack` relaxes the
+  // depth comparison: integer bins pass a small slack because CountSketch
+  // classification leaks *phantom* members into small-frequency bins
+  // (light items whose point estimate collides upward past the heavy
+  // threshold — a systematic overestimate), while their populous level
+  // sets tolerate the <= 2^slack extra subsample variance. Geometric
+  // levels pass zero: they can hold O(1) genuinely-heavy members whose
+  // recovery CountSketch handles reliably, and any avoidable subsampling
+  // there is catastrophic. Returns {classified members, depth used}.
+  struct Source {
+    const Classified* members;
     int depth;
   };
-  auto count_members = [&](int t_sketch, int exact_slack,
-                           auto matches) -> LevelCount {
+  auto source = [&](int t_sketch, int exact_slack) -> Source {
     if (exact_depth >= 0 && exact_depth <= t_sketch + exact_slack) {
-      const DepthSlot& slot = depths_[static_cast<std::size_t>(exact_depth)];
-      double members = 0.0;
-      for (const auto& [item, g] : slot.exact) {
-        (void)item;
-        if (matches(static_cast<double>(g))) members += 1.0;
+      if (!exact.ready) {
+        const DepthSlot& slot =
+            depths_[static_cast<std::size_t>(exact_depth)];
+        for (const auto& [item, g] : slot.exact) {
+          (void)item;
+          classify(exact, static_cast<double>(g));
+        }
+        finish(exact);
       }
-      return {members, exact_depth};
+      return {&exact, exact_depth};
     }
-    const DepthSlot& slot = depths_[static_cast<std::size_t>(t_sketch)];
-    const double heavy_threshold_sq =
-        params_.heavy_factor * f2_at_depth[static_cast<std::size_t>(t_sketch)] /
-        static_cast<double>(params_.cs_width);
-    double members = 0.0;
-    for (const auto& [item, stale] : slot.candidates.map()) {
-      (void)stale;
-      const double g_hat = slot.sketch.Estimate(item);
-      if (g_hat < 0.5) continue;
-      if (g_hat * g_hat < heavy_threshold_sq) continue;
-      if (matches(g_hat)) members += 1.0;
+    Classified& c = sketched[static_cast<std::size_t>(t_sketch)];
+    if (!c.ready) {
+      const DepthSlot& slot = depths_[static_cast<std::size_t>(t_sketch)];
+      const double heavy_threshold_sq =
+          params_.heavy_factor *
+          f2_at_depth[static_cast<std::size_t>(t_sketch)] /
+          static_cast<double>(params_.cs_width);
+      for (const auto& [item, stale] : slot.candidates.map()) {
+        (void)stale;
+        const double g_hat = slot.sketch.Estimate(item);
+        if (g_hat < 0.5) continue;
+        if (g_hat * g_hat < heavy_threshold_sq) continue;
+        classify(c, g_hat);
+      }
+      finish(c);
     }
-    return {members, t_sketch};
+    return {&c, t_sketch};
   };
 
   // Small frequencies: exact integer bins. C(g, l) is non-smooth near
@@ -283,62 +352,57 @@ std::vector<LevelSetEstimate> IndykWoodruffEstimator::EstimateLevelSets()
   // below an integer misprices the whole level; rounding the recovered
   // estimates to integers is exact there.
   constexpr int kIntegerBinExactSlack = 2;
-  const int g0 = std::max(1, params_.integer_bin_max);
   for (int j = 1; j <= g0; ++j) {
     const double v = static_cast<double>(j);
-    const LevelCount count =
-        count_members(depth_for(v), kIntegerBinExactSlack, [&](double g_hat) {
-          return g_hat >= v - 0.5 && g_hat < v + 0.5;
-        });
-    if (count.members == 0.0) continue;
+    const Source src = source(depth_for(v), kIntegerBinExactSlack);
+    const double members = members_of(src.members->bins, j);
+    if (members == 0.0) continue;
     LevelSetEstimate est;
     est.level = j;
     est.value = v;
-    est.size = count.members * std::ldexp(1.0, count.depth);
-    est.depth = count.depth;
+    est.size = members * std::ldexp(1.0, src.depth);
+    est.depth = src.depth;
     est.integer_bin = true;
     out.push_back(est);
   }
 
-  // Larger frequencies: geometric levels, starting strictly above the
-  // integer-bin range.
+  // Larger frequencies: geometric levels.
   const double base = 1.0 + params_.eps_prime;
-  const double geometric_start = static_cast<double>(g0) + 0.5;
   const int max_level =
       LevelIndex(static_cast<double>(total_), eta_, params_.eps_prime) + 1;
   for (int i = 0; i <= max_level; ++i) {
     const double v = eta_ * std::pow(base, i);
     if (v * base <= geometric_start) continue;  // covered by integer bins
-    const LevelCount count = count_members(
-        depth_for(std::max(v, geometric_start)), /*exact_slack=*/0,
-        [&](double g_hat) {
-          return g_hat >= geometric_start &&
-                 LevelIndex(g_hat, eta_, params_.eps_prime) == i;
-        });
-    if (count.members == 0.0) continue;
+    const Source src =
+        source(depth_for(std::max(v, geometric_start)), /*exact_slack=*/0);
+    const double members = members_of(src.members->levels, i);
+    if (members == 0.0) continue;
     LevelSetEstimate est;
     est.level = i;
     est.value = v;
-    est.size = count.members * std::ldexp(1.0, count.depth);
-    est.depth = count.depth;
+    est.size = members * std::ldexp(1.0, src.depth);
+    est.depth = src.depth;
     out.push_back(est);
   }
   return out;
 }
 
 double IndykWoodruffEstimator::EstimateCollisions(int l) const {
-  SUBSTREAM_CHECK(l >= 1);
-  KahanSum sum;
-  for (const LevelSetEstimate& s : EstimateLevelSets()) {
-    // Integer bins are exact; members of a geometric level have g in
-    // [v_i, v_i (1+eps')) and are evaluated at the midpoint, which halves
-    // the systematic discretization bias relative to the paper's lower
-    // boundary (ablation A1) while staying inside the eps' envelope.
-    const double value =
-        s.integer_bin ? s.value : LevelMidValue(s.value);
-    sum.Add(s.size * BinomialDouble(value, l));
-  }
-  return sum.Value();
+  return EstimateCollisions(l, l).front();
+}
+
+std::vector<double> IndykWoodruffEstimator::EstimateCollisions(
+    int first, int last) const {
+  // Integer bins are exact; members of a geometric level have g in
+  // [v_i, v_i (1+eps')) and are evaluated at the midpoint, which halves
+  // the systematic discretization bias relative to the paper's lower
+  // boundary (ablation A1) while staying inside the eps' envelope.
+  return SumPerOrder(EstimateLevelSets(), first, last,
+                     [&](const LevelSetEstimate& s, int l) {
+                       const double value =
+                           s.integer_bin ? s.value : LevelMidValue(s.value);
+                       return s.size * BinomialDouble(value, l);
+                     });
 }
 
 double IndykWoodruffEstimator::EstimateMoment(int k) const {
@@ -548,24 +612,29 @@ std::vector<LevelSetEstimate> ExactLevelSets::EstimateLevelSets() const {
 }
 
 double ExactLevelSets::EstimateCollisions(int l) const {
-  SUBSTREAM_CHECK(l >= 1);
-  KahanSum sum;
-  for (const LevelSetEstimate& s : EstimateLevelSets()) {
-    // Same midpoint rule as the sketch (see IndykWoodruffEstimator).
-    sum.Add(s.size *
-            BinomialDouble(s.value * (1.0 + 0.5 * eps_prime_), l));
-  }
-  return sum.Value();
+  return EstimateCollisions(l, l).front();
+}
+
+std::vector<double> ExactLevelSets::EstimateCollisions(int first,
+                                                       int last) const {
+  // Same midpoint rule as the sketch (see IndykWoodruffEstimator).
+  return SumPerOrder(EstimateLevelSets(), first, last,
+                     [&](const LevelSetEstimate& s, int l) {
+                       return s.size * BinomialDouble(
+                                           s.value * (1.0 + 0.5 * eps_prime_),
+                                           l);
+                     });
 }
 
 double ExactLevelSets::ExactCollisions(int l) const {
-  SUBSTREAM_CHECK(l >= 1);
-  KahanSum sum;
-  for (const auto& [item, g] : counts_) {
-    (void)item;
-    sum.Add(BinomialDouble(static_cast<double>(g), l));
-  }
-  return sum.Value();
+  return ExactCollisions(l, l).front();
+}
+
+std::vector<double> ExactLevelSets::ExactCollisions(int first,
+                                                    int last) const {
+  return SumPerOrder(counts_, first, last, [](const auto& entry, int l) {
+    return BinomialDouble(static_cast<double>(entry.second), l);
+  });
 }
 
 double ExactLevelSets::ExactMoment(int k) const {

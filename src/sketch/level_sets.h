@@ -119,10 +119,19 @@ class IndykWoodruffEstimator {
   void Reset();
 
   /// Estimated level sets with nonzero size, in increasing level order.
+  /// Each source a level is read from (the exact map of the shallowest
+  /// exactly counted depth, or one depth's candidate pool) is walked at
+  /// most once per call: its members are estimated and classified into
+  /// integer bins and geometric levels once, so the CountSketch Estimate
+  /// calls per depth are bounded by the pool size, not by levels x pool.
   std::vector<LevelSetEstimate> EstimateLevelSets() const;
 
   /// C~_l of the consumed stream: sum_i s~_i * C(v_i, l).
   double EstimateCollisions(int l) const;
+
+  /// C~_first .. C~_last from one EstimateLevelSets() readout; entry
+  /// l - first is bitwise EstimateCollisions(l).
+  std::vector<double> EstimateCollisions(int first, int last) const;
 
   /// Direct moment estimate sum_i s~_i * v_i^k (classic IW usage).
   double EstimateMoment(int k) const;
@@ -236,8 +245,16 @@ class ExactLevelSets {
   /// Discretized collision count sum_i |S_i| * C(v_i, l).
   double EstimateCollisions(int l) const;
 
+  /// EstimateCollisions(l) for l = first .. last from one level-set
+  /// readout, bitwise equal entry by entry.
+  std::vector<double> EstimateCollisions(int first, int last) const;
+
   /// Exact collision count sum_j C(g_j, l) of the consumed stream.
   double ExactCollisions(int l) const;
+
+  /// ExactCollisions(l) for l = first .. last from one walk of the counts,
+  /// bitwise equal entry by entry.
+  std::vector<double> ExactCollisions(int first, int last) const;
 
   /// Exact moment sum_j g_j^k.
   double ExactMoment(int k) const;

@@ -1,11 +1,15 @@
 #include "core/fk_estimator.h"
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
 #include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/collision.h"
+#include "serde/serde.h"
 #include "stream/exact_stats.h"
 #include "stream/generators.h"
 #include "stream/samplers.h"
@@ -193,6 +197,61 @@ TEST(FkEstimatorTest, CollisionEstimatesDiagnostics) {
   ASSERT_EQ(collisions.size(), 2u);
   EXPECT_DOUBLE_EQ(collisions[0], 4.0);
   EXPECT_DOUBLE_EQ(collisions[1], 1.0);
+}
+
+TEST(FkEstimatorTest, SketchLadderReadsLevelSetsOnceBitwise) {
+  // AllMoments() and CollisionEstimates() evaluate every l from one
+  // level-set readout; each C~_l must equal the per-l EstimateCollisions
+  // of the same level-set structure, read back off the wire record.
+  ZipfGenerator g(1 << 14, 1.1, 21);
+  const Stream s = Materialize(g, 60000);
+  FkParams params;
+  params.k = 4;
+  params.p = 0.5;
+  params.epsilon = 0.3;
+  params.universe = 1 << 14;
+  params.max_width = 512;
+  params.backend = CollisionBackend::kSketch;
+  FkEstimator est(params, 22);
+  FeedItems(est, s.data(), s.size());
+
+  serde::Writer out;
+  est.Serialize(out);
+  serde::Reader in(out.bytes());
+  ASSERT_TRUE(in.ExpectRecord(serde::TypeTag::kFkEstimator));
+  in.Varint();  // k
+  in.F64();     // epsilon
+  in.F64();     // delta
+  in.F64();     // p
+  in.Varint();  // universe
+  in.Varint();  // n_hint
+  in.U8();      // backend
+  in.F64();     // space_multiplier
+  in.Varint();  // max_width
+  in.U8();      // cell_width
+  in.Varint();  // sampled length
+  const std::optional<IndykWoodruffEstimator> levels =
+      IndykWoodruffEstimator::Deserialize(in);
+  ASSERT_TRUE(levels.has_value());
+
+  const std::vector<double> collisions = est.CollisionEstimates();
+  const std::vector<double> moments = est.AllMoments();
+  ASSERT_EQ(collisions.size(), 3u);
+  ASSERT_EQ(moments.size(), 4u);
+  std::vector<double> phi{static_cast<double>(est.SampledLength()) / params.p};
+  EXPECT_EQ(moments[0], phi[0]);
+  for (int l = 2; l <= params.k; ++l) {
+    const double c = levels->EstimateCollisions(l);
+    EXPECT_GT(c, 0.0) << "l " << l;
+    EXPECT_EQ(collisions[static_cast<std::size_t>(l - 2)], c) << "l " << l;
+    const double value = std::max(
+        MomentFromCollisions(l, UnbiasedOriginalCollisions(c, params.p, l),
+                             phi),
+        phi.back());
+    phi.push_back(value);
+    EXPECT_EQ(moments[static_cast<std::size_t>(l - 1)], value) << "l " << l;
+  }
+  EXPECT_EQ(est.Estimate(), moments.back());
 }
 
 TEST(FkEstimatorTest, LadderIsMonotoneByConstruction) {
