@@ -28,7 +28,6 @@
 #include "sketch/hyperloglog.h"
 #include "sketch/kmv.h"
 #include "sketch/level_sets.h"
-#include "sketch/misra_gries.h"
 #include "sketch/space_saving.h"
 #include "stream/generators.h"
 
@@ -108,7 +107,6 @@ int main(int argc, char** argv) {
   Run("AmsF2Sketch", AmsF2Sketch(0.1, 0.05, 3));
   Run("HyperLogLog", HyperLogLog(14, 3));
   Run("KmvSketch", KmvSketch(1024, 3));
-  Run("MisraGries", MisraGries(256));
   Run("SpaceSaving", SpaceSaving(256));
   Run("EntropyMleEstimator", EntropyMleEstimator());
   Run("AmsEntropySketch", AmsEntropySketch(0.2, 0.05, 3));

@@ -23,7 +23,6 @@
 #include "sketch/hyperloglog.h"
 #include "sketch/kmv.h"
 #include "sketch/level_sets.h"
-#include "sketch/misra_gries.h"
 #include "sketch/sketch.h"
 #include "sketch/space_saving.h"
 #include "stream/generators.h"
@@ -198,17 +197,6 @@ void BM_CountSketchPointQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CountSketchPointQuery);
-
-void BM_MisraGriesUpdate(benchmark::State& state) {
-  MisraGries mg(static_cast<std::size_t>(state.range(0)));
-  Stream s = BenchStream(1 << 14);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    mg.Update(s[i++ & (s.size() - 1)]);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MisraGriesUpdate)->Arg(64)->Arg(1024);
 
 void BM_SpaceSavingUpdate(benchmark::State& state) {
   SpaceSaving ss(static_cast<std::size_t>(state.range(0)));

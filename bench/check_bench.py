@@ -10,8 +10,9 @@ Checks the row schema and required modes, the planner A/B fit and accuracy,
 the sampled-ingest accuracy and shedding speedup, the telemetry overhead
 ratio, the per-ISA kernel ladder and cell-width rows, every throughput floor
 listed in bench/baseline.json, the windowed modes, and every latency ceiling
-listed there. Prints one line per passed gate and exits non-zero with a
-message at the first failed one.
+listed there. Prints one line per passed gate, runs every gate even after one
+fails, then prints each failure and exits 1 if there were any. A malformed
+JSON line or a row missing a schema key aborts at once.
 """
 
 import argparse
@@ -29,7 +30,17 @@ KEEP = 0.8
 SLACK = 1.25
 
 
+# Messages of the failed gates, in the order they failed.
+failures = []
+
+
 def fail(message):
+    """Records a failed gate; main() reports every failure at the end."""
+    if message not in failures:
+        failures.append(message)
+
+
+def abort(message):
     sys.exit(f"check_bench: {message}")
 
 
@@ -43,10 +54,10 @@ def load_rows(path, required):
             try:
                 row = json.loads(line)
             except json.JSONDecodeError as e:
-                fail(f"{path}:{lineno}: malformed JSON: {e}")
+                abort(f"{path}:{lineno}: malformed JSON: {e}")
             missing = required - row.keys()
             if missing:
-                fail(f"{path}:{lineno}: missing keys {sorted(missing)}")
+                abort(f"{path}:{lineno}: missing keys {sorted(missing)}")
             rows.append(row)
     return rows
 
@@ -80,12 +91,13 @@ def check_planner(rows):
     planner_rows = {r["mode"]: r for r in rows if r["target"] == "planner"}
     for mode in ("handpicked", "planned"):
         if mode not in planner_rows:
-            fail(f"missing planner/{mode} row")
+            return fail(f"missing planner/{mode} row")
         for key in ("budget_bytes", "planned_bytes", "target_epsilon",
                     "measured_epsilon"):
             if key not in planner_rows[mode]:
-                fail(f"planner/{mode} row missing {key}")
+                return fail(f"planner/{mode} row missing {key}")
     planned = planner_rows["planned"]
+    before = len(failures)
     if planned["planned_bytes"] > planned["budget_bytes"]:
         fail(f"planner overshot the equal-memory budget: "
              f"{planned['planned_bytes']} > {planned['budget_bytes']} bytes")
@@ -93,6 +105,8 @@ def check_planner(rows):
         fail(f"planned geometry missed its accuracy bound: measured F2 eps "
              f"{planned['measured_epsilon']:.4f} vs promised "
              f"{planned['target_epsilon']:.4f}")
+    if len(failures) > before:
+        return
     print(f"planner A/B: planned {planned['planned_bytes']} bytes within "
           f"{planned['budget_bytes']}, measured F2 eps "
           f"{planned['measured_epsilon']:.4f} (bound "
@@ -109,11 +123,15 @@ def check_sampled(rows):
                     if (r["target"], r["mode"]) == ("monitor", "sampled")}
     for rate in (1.0, 0.125, 0.015625):
         if rate not in sampled_rows:
-            fail(f"missing monitor/sampled row at rate {rate}")
+            return fail(f"missing monitor/sampled row at rate {rate}")
         row = sampled_rows[rate]
-        for key in ("target_epsilon", "measured_epsilon"):
+        for key in ("target_epsilon", "measured_epsilon",
+                    "speedup_vs_scalar"):
             if key not in row:
-                fail(f"sampled row at rate {rate} missing {key}")
+                return fail(f"sampled row at rate {rate} missing {key}")
+    before = len(failures)
+    for rate in (1.0, 0.125, 0.015625):
+        row = sampled_rows[rate]
         if row["measured_epsilon"] > 2.5 * row["target_epsilon"]:
             fail(f"sampled ingest at rate {rate} missed its widened "
                  f"accuracy bound: measured F2 eps "
@@ -123,6 +141,8 @@ def check_sampled(rows):
     if deep["speedup_vs_scalar"] < 1.2:
         fail(f"sampled ingest at p=1/64 buys no throughput: "
              f"{deep['speedup_vs_scalar']:.2f}x the exact rate")
+    if len(failures) > before:
+        return
     print(f"sampled ingest: p=1/64 at {deep['speedup_vs_scalar']:.1f}x "
           f"exact-rate throughput, measured F2 eps "
           f"{deep['measured_epsilon']:.4f} (widened bound "
@@ -133,12 +153,14 @@ def check_overhead(rows):
     # speedup_vs_scalar is the ratio of instrumented over plain batched
     # ingest. Per-batch probes must stay in the noise; fail if
     # instrumentation costs >15%.
-    ratio = next(r["speedup_vs_scalar"] for r in rows
-                 if (r["target"], r["mode"]) == ("monitor",
-                                                 "metrics_overhead"))
+    ratio = next((r.get("speedup_vs_scalar") for r in rows
+                  if (r["target"], r["mode"]) == ("monitor",
+                                                  "metrics_overhead")), None)
+    if ratio is None:
+        return fail("no monitor/metrics_overhead ratio to check")
     if ratio < 0.85:
-        fail(f"telemetry overhead too high: instrumented ingest runs at "
-             f"{ratio:.3f}x the plain rate (floor 0.85)")
+        return fail(f"telemetry overhead too high: instrumented ingest runs "
+                    f"at {ratio:.3f}x the plain rate (floor 0.85)")
     print(f"telemetry overhead ratio {ratio:.3f} (instrumented/plain)")
 
 
@@ -169,12 +191,14 @@ def check_floors(rows, baseline_path):
                     if all(r.get(k) == v for k, v in match.items())), None)
         if row is None:
             fail(f"no row matches floor {floor['name']} ({match})")
+            continue
         got = row["items_per_sec"]
         want = floor["items_per_sec"]
         if got < KEEP * want:
             fail(f"{floor['name']}: {got:.0f} items/s is more than "
                  f"{1 - KEEP:.0%} below the committed floor "
                  f"{want:.0f} ({baseline_path})")
+            continue
         print(f"{floor['name']}: {got / 1e6:.2f}M items/s "
               f"(floor {want / 1e6:.2f}M)")
 
@@ -203,12 +227,14 @@ def check_ceilings(wrows, baseline_path):
                     if all(r.get(k) == v for k, v in match.items())), None)
         if row is None:
             fail(f"no row matches ceiling {ceiling['name']} ({match})")
+            continue
         got = row["ns_per_op"]
         want = ceiling["ns_per_op"]
         if got > SLACK * want:
             fail(f"{ceiling['name']}: {got:.0f} ns/op is more than "
                  f"{SLACK - 1:.0%} above the committed ceiling "
                  f"{want:.0f} ({baseline_path})")
+            continue
         print(f"{ceiling['name']}: {got / 1e6:.2f} ms/op "
               f"(ceiling {want / 1e6:.2f} ms)")
 
@@ -233,6 +259,10 @@ def main():
     wrows = load_rows(args.windowed, WINDOWED_KEYS)
     check_windowed(wrows)
     check_ceilings(wrows, args.baseline)
+    if failures:
+        for message in failures:
+            print(f"check_bench: {message}", file=sys.stderr)
+        sys.exit(1)
     print(f"validated {len(rows) + len(wrows)} benchmark rows")
 
 

@@ -33,14 +33,6 @@ bool MonitorConfigsEqual(const MonitorConfig& a, const MonitorConfig& b) {
          a.f0_hll_precision == b.f0_hll_precision;
 }
 
-namespace {
-
-bool SameConfig(const MonitorConfig& a, const MonitorConfig& b) {
-  return MonitorConfigsEqual(a, b);
-}
-
-}  // namespace
-
 Monitor::Monitor(const MonitorConfig& config, std::uint64_t seed)
     : config_(plan::ResolveMonitorConfig(config)), seed_(seed) {
   SUBSTREAM_CHECK_MSG(config_.p > 0.0 && config_.p <= 1.0,
@@ -111,7 +103,7 @@ void Monitor::UpdatePrehashed(PrehashedColumns cols, std::size_t n,
 }
 
 bool Monitor::MergeCompatibleWith(const Monitor& other) const {
-  if (seed_ != other.seed_ || !SameConfig(config_, other.config_)) {
+  if (seed_ != other.seed_ || !MonitorConfigsEqual(config_, other.config_)) {
     return false;
   }
   // Deep check: a decoded record can agree on the monitor-level header yet
@@ -138,7 +130,7 @@ void Monitor::Merge(const Monitor& other, double weight) {
                       weight);
   SUBSTREAM_CHECK_MSG(seed_ == other.seed_,
                       "merging monitors with different seeds");
-  SUBSTREAM_CHECK_MSG(SameConfig(config_, other.config_),
+  SUBSTREAM_CHECK_MSG(MonitorConfigsEqual(config_, other.config_),
                       "merging monitors with different configurations");
   sampled_length_ += ScaleCounter(other.sampled_length_, weight);
   raw_updates_ += ScaleCounter(other.raw_updates_, weight);

@@ -19,7 +19,6 @@ namespace {
 struct PipelineMetrics {
   obs::Histogram& batch_consume_ns;
   obs::Histogram& rotate_ns;
-  obs::Histogram& cross_group_merge_ns;
   obs::Gauge& ring_occupancy_hwm;
   obs::Gauge& groups;
   obs::Counter& producer_stalls;
@@ -40,10 +39,6 @@ struct PipelineMetrics {
             "substream_sharded_rotate_duration_ns",
             "Producer-side cost of Rotate(): closing-epoch flush plus one "
             "marker push per shard"),
-        obs::MetricsRegistry::Global().GetHistogram(
-            "substream_sharded_cross_group_merge_duration_ns",
-            "Cross-group phase of Report()/CollectWindow(): folding the "
-            "per-group merged monitors (observed only when groups > 1)"),
         obs::MetricsRegistry::Global().GetGauge(
             "substream_sharded_ring_occupancy_hwm",
             "High-water mark of per-shard ring occupancy (batches) observed "
@@ -110,7 +105,7 @@ void BackoffPause(std::size_t* spins) {
 ShardedMonitor::ShardedMonitor(const MonitorConfig& config, std::uint64_t seed,
                                ShardedMonitorOptions options)
     // Resolve any accuracy-budget plan ONCE, here: every shard monitor, the
-    // merge scratches and every retired window are then built from the same
+    // merge scratch and every retired window are then built from the same
     // explicit geometry, so one {budget, targets} tuple configures the whole
     // fleet (and SolvePlan never runs on the per-worker construction path).
     : config_(plan::ResolveMonitorConfig(config)), seed_(seed),
@@ -130,27 +125,20 @@ ShardedMonitor::ShardedMonitor(const MonitorConfig& config, std::uint64_t seed,
 
   const std::size_t shards = options.shards;
   topology_ = numa::DetectTopology();
-  std::size_t groups = options.groups != 0 ? options.groups : topology_.groups();
-  if (groups > shards) groups = shards;
-  if (groups < 1) groups = 1;
+  const std::size_t groups = std::min(topology_.groups(), shards);
 
   // Contiguous balanced shard ranges per group: group g owns
-  // [g*S/G, (g+1)*S/G). Contiguity is what makes the two-level merge visit
-  // shards in the same total order as a flat fold.
-  group_begin_.resize(groups + 1);
-  for (std::size_t g = 0; g <= groups; ++g) {
-    group_begin_[g] = g * shards / groups;
-  }
+  // [g*S/G, (g+1)*S/G).
   shard_group_.resize(shards);
   for (std::size_t g = 0; g < groups; ++g) {
-    for (std::size_t s = group_begin_[g]; s < group_begin_[g + 1]; ++s) {
+    for (std::size_t s = g * shards / groups; s < (g + 1) * shards / groups;
+         ++s) {
       shard_group_[s] = g;
     }
   }
-  group_cpus_.reserve(groups);
+  group_cpus_.assign(topology_.cpus.begin(), topology_.cpus.begin() + groups);
   group_hwm_gauges_.reserve(groups);
   for (std::size_t g = 0; g < groups; ++g) {
-    group_cpus_.push_back(topology_.cpus[g % topology_.groups()]);
     group_hwm_gauges_.push_back(&obs::MetricsRegistry::Global().GetGauge(
         "substream_sharded_group" + std::to_string(g) + "_ring_occupancy_hwm",
         "High-water mark of ring occupancy (batches) across the group's "
@@ -322,12 +310,17 @@ void ShardedMonitor::PushBatch(std::size_t shard, Batch&& batch) {
     // until the worker frees a slot.
     ++producer_stalls_;
     PipelineMetrics::Get().producer_stalls.Inc();
-    const std::uint64_t start_ns = obs::NowNs();
+    // Stats().stall_wait_ns is pipeline accounting, not telemetry: read the
+    // clock directly (obs::NowNs reads 0 with telemetry compiled out).
+    const auto start = std::chrono::steady_clock::now();
     std::size_t spins = 0;
     do {
       BackoffPause(&spins);
     } while (!rings_[shard]->TryPush(std::move(batch)));
-    const std::uint64_t waited_ns = obs::NowNs() - start_ns;
+    const auto waited_ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
     stall_wait_ns_ += waited_ns;
     PipelineMetrics::Get().stall_wait_ns.Inc(waited_ns);
   }
@@ -462,45 +455,13 @@ Monitor& ShardedMonitor::ScratchReset() {
   return *scratch_;
 }
 
-Monitor& ShardedMonitor::GroupScratchReset(std::size_t group) {
-  if (group_scratch_.size() < groups()) group_scratch_.resize(groups());
-  if (!group_scratch_[group]) {
-    group_scratch_[group].emplace(config_, seed_);
-  } else {
-    group_scratch_[group]->Reset();
-  }
-  return *group_scratch_[group];
-}
-
 MonitorReport ShardedMonitor::Report() {
-  // Quiesce, then merge a snapshot: the shard monitors themselves are left
-  // untouched, which is what makes Report repeatable and non-terminal.
+  // Quiesce, then fold a snapshot in shard order: the shard monitors
+  // themselves are left untouched, which is what makes Report repeatable
+  // and non-terminal.
   Drain();
-  const std::size_t num_groups = groups();
   Monitor& scratch = ScratchReset();
-  if (num_groups == 1) {
-    // Flat fold — the two-level shape below with its intra-group copy
-    // elided. Both visit shards in the same order, so the merged state is
-    // identical (pinned by the 1-group-vs-N-group test).
-    for (const auto& monitor : monitors_) scratch.Merge(*monitor);
-    return scratch.Report();
-  }
-  // Level 1: fold each group's shard monitors into its group-local
-  // scratch. The heavy reads (every counter of every shard sketch) stay on
-  // the group's node when the caller runs pinned; only the compact merged
-  // scratch crosses nodes below.
-  for (std::size_t g = 0; g < num_groups; ++g) {
-    Monitor& group_scratch = GroupScratchReset(g);
-    for (std::size_t s = group_begin_[g]; s < group_begin_[g + 1]; ++s) {
-      group_scratch.Merge(*monitors_[s]);
-    }
-  }
-  // Level 2: fold the group scratches in group order.
-  const std::uint64_t start_ns = obs::NowNs();
-  for (std::size_t g = 0; g < num_groups; ++g) {
-    scratch.Merge(*group_scratch_[g]);
-  }
-  PipelineMetrics::Get().cross_group_merge_ns.Observe(obs::NowNs() - start_ns);
+  for (const auto& monitor : monitors_) scratch.Merge(*monitor);
   return scratch.Report();
 }
 
@@ -521,42 +482,23 @@ std::optional<Monitor> ShardedMonitor::CollectWindow(std::uint64_t epoch) {
                     [&](const auto& entry) { return entry.first == epoch; });
     if (!found) return std::nullopt;
   }
-  // Level 1: extract and merge each group's windows in shard order, using
-  // the group's first window as the accumulator (no scratch copies — the
-  // extracted windows are consumed anyway).
-  const std::size_t num_groups = groups();
-  std::vector<Monitor> group_windows;
-  group_windows.reserve(num_groups);
-  for (std::size_t g = 0; g < num_groups; ++g) {
-    std::optional<Monitor> acc;
-    for (std::size_t s = group_begin_[g]; s < group_begin_[g + 1]; ++s) {
-      ShardSync& sync = *sync_[s];
-      std::lock_guard<std::mutex> lock(sync.retired_mu);
-      auto it = std::find_if(
-          sync.retired.begin(), sync.retired.end(),
-          [&](const auto& entry) { return entry.first == epoch; });
-      if (!acc) {
-        acc.emplace(std::move(it->second));
-      } else {
-        acc->Merge(it->second);
-      }
-      sync.retired.erase(it);
+  // Extract and fold the windows in shard order, using the first window
+  // as the accumulator (no scratch copy — the extracted windows are
+  // consumed anyway).
+  std::optional<Monitor> merged;
+  for (const auto& sync : sync_) {
+    std::lock_guard<std::mutex> lock(sync->retired_mu);
+    auto it = std::find_if(
+        sync->retired.begin(), sync->retired.end(),
+        [&](const auto& entry) { return entry.first == epoch; });
+    if (!merged) {
+      merged.emplace(std::move(it->second));
+    } else {
+      merged->Merge(it->second);
     }
-    group_windows.push_back(std::move(*acc));
+    sync->retired.erase(it);
   }
-  // Level 2: fold across groups in group order. Same total shard order as
-  // the historical flat fold, so the merged window is byte-identical under
-  // any group layout.
-  Monitor merged = std::move(group_windows[0]);
-  if (num_groups > 1) {
-    const std::uint64_t start_ns = obs::NowNs();
-    for (std::size_t g = 1; g < num_groups; ++g) {
-      merged.Merge(group_windows[g]);
-    }
-    PipelineMetrics::Get().cross_group_merge_ns.Observe(obs::NowNs() -
-                                                        start_ns);
-  }
-  return std::optional<Monitor>(std::move(merged));
+  return merged;
 }
 
 void ShardedMonitor::Reset() {

@@ -20,7 +20,7 @@
 /// \file sharded_monitor.h
 /// Multi-core ingestion pipeline over mergeable Monitors: the
 /// sampled-NetFlow collector that scales across cores — and, via shard
-/// groups, across sockets.
+/// groups, places its workers across sockets.
 ///
 /// Layout: one producer (the caller of Ingest) and `shards` worker threads.
 /// Each worker owns a Monitor constructed with the *same* config and seed —
@@ -41,22 +41,21 @@
 ///
 /// ## Shard groups (NUMA nodes)
 ///
-/// Shards are split into contiguous *groups*, one per NUMA node by default
-/// (util/numa.h: SKETCH_FORCE_NUMA_GROUPS override, /sys node directories,
-/// single-group fallback — in that order). Group membership buys locality,
-/// never semantics:
+/// Shards are split into contiguous *groups*, one per NUMA node and at most
+/// one per shard (util/numa.h: SKETCH_FORCE_NUMA_GROUPS override, /sys node
+/// directories, single-group fallback — in that order). Group membership
+/// buys locality, never semantics:
 ///
 ///  - each worker pins itself to its group's CPUs
 ///    (pthread_setaffinity_np, best-effort) and then FIRST-TOUCHES its own
 ///    ring buffers and Monitor on its thread, so the pages a worker hammers
 ///    live on the node that reads them;
-///  - Report() and CollectWindow() merge in two levels — shard monitors
-///    into a group-local scratch, group scratches across groups — keeping
-///    the high-traffic merge reads node-local;
+///  - Stats().group_ring_hwm reports each group's worst ring backlog;
 ///  - shard routing depends ONLY on the shard count, never on the group
-///    layout, and both merge levels preserve shard order, so a forced
-///    1-group and a forced N-group pipeline produce byte-identical
-///    Report()/CollectWindow() output for the same input (pinned by test).
+///    layout, and Report()/CollectWindow() fold the shards in shard order
+///    on the calling thread, so a forced 1-group and a forced N-group
+///    pipeline produce byte-identical output for the same input (pinned by
+///    test).
 ///
 /// ## Lifecycle: epochs (measurement windows)
 ///
@@ -70,8 +69,8 @@
 /// ever joined or respawned at a window boundary.
 ///
 ///  - `Report()` — repeatable: flushes + drains, then merges a *snapshot*
-///    of the current epoch's shard monitors (two-level, see above). Call
-///    it as often as you like; ingest continues afterwards.
+///    of the current epoch's shard monitors. Call it as often as you like;
+///    ingest continues afterwards.
 ///  - `CollectWindow(e)` — extracts rotated epoch `e` as one merged
 ///    Monitor (all shards, deterministic shard order). The returned
 ///    monitor is an ordinary mergeable summary: serialize it, checkpoint
@@ -138,11 +137,6 @@ struct ShardedMonitorOptions {
   /// ring-buffer traffic and let the sketches' row-major batched loops run
   /// longer.
   std::size_t batch_items = 4096;
-  /// Number of shard groups. 0 (default) auto-detects one group per NUMA
-  /// node; any positive value forces that many groups (clamped to the
-  /// shard count). Group layout affects placement and merge order
-  /// internals only — never the merged output.
-  std::size_t groups = 0;
   /// Pin each worker to its group's CPU set. Best-effort: a refused
   /// affinity syscall leaves the worker unpinned (and first-touch then
   /// falls back to wherever the scheduler ran the allocation).
@@ -249,16 +243,15 @@ class ShardedMonitor {
   std::uint64_t CurrentEpoch() const { return epoch_; }
 
   /// Merged monitor of rotated epoch `e`: flushes + drains so every shard
-  /// has retired `e`, then merges the per-shard windows two-level (shard
-  /// order within each group, then group order — the same total order a
-  /// flat shard-order merge visits). Each window is extracted exactly
-  /// once: a second call for the same epoch returns std::nullopt, as does
-  /// an epoch discarded by Reset(). Aborts if `e` is the still-open epoch.
+  /// has retired `e`, then folds the per-shard windows in shard order.
+  /// Each window is extracted exactly once: a second call for the same
+  /// epoch returns std::nullopt, as does an epoch discarded by Reset().
+  /// Aborts if `e` is the still-open epoch.
   std::optional<Monitor> CollectWindow(std::uint64_t epoch);
 
   /// Consolidated report of the OPEN epoch's data so far. Repeatable:
-  /// flushes + drains, merges a snapshot of the shard monitors into
-  /// reusable scratch space (intra-group, then cross-group) and reports;
+  /// flushes + drains, folds a snapshot of the shard monitors into
+  /// reusable scratch space in shard order and reports;
   /// the pipeline keeps ingesting afterwards (rotated-but-uncollected
   /// windows are not included — collect those).
   MonitorReport Report();
@@ -298,8 +291,9 @@ class ShardedMonitor {
   const MonitorConfig& config() const { return config_; }
 
   std::size_t shards() const { return options_.shards; }
-  /// Shard groups in use (resolved at construction).
-  std::size_t groups() const { return group_begin_.size() - 1; }
+  /// Shard groups in use: one per detected node (util/numa.h), at most one
+  /// per shard.
+  std::size_t groups() const { return group_cpus_.size(); }
   /// The node topology the group layout was derived from.
   const numa::Topology& topology() const { return topology_; }
   count_t ItemsIngested() const { return items_ingested_; }
@@ -424,20 +418,12 @@ class ShardedMonitor {
   /// the ring is full on first attempt.
   void PushBatch(std::size_t shard, Batch&& batch);
   Monitor& ScratchReset();
-  /// Lazily built per-group Report() workspace, Reset() when reused.
-  Monitor& GroupScratchReset(std::size_t group);
 
   MonitorConfig config_;
   std::uint64_t seed_;
   ShardedMonitorOptions options_;
   numa::Topology topology_;
-  /// Group g owns shards [group_begin_[g], group_begin_[g + 1]); the array
-  /// has groups() + 1 entries (last = shard count). Contiguous balanced
-  /// ranges, so intra-group + cross-group merge order equals flat shard
-  /// order.
-  std::vector<std::size_t> group_begin_;
-  /// CPU set each group's workers pin to (from topology_, round-robin when
-  /// there are more groups than nodes).
+  /// CPU set each group's workers pin to, one entry per group.
   std::vector<std::vector<int>> group_cpus_;
   std::vector<std::size_t> shard_group_;  ///< shard -> owning group
   /// Shard monitors and rings live behind pointers the OWNING WORKER
@@ -476,9 +462,7 @@ class ShardedMonitor {
   count_t staged_weight_ = 1;
   /// producer_stalls_ at the sampler's previous observation (delta source).
   std::uint64_t sampler_last_stalls_ = 0;
-  std::optional<Monitor> scratch_;  // cross-group Report() workspace
-  /// Intra-group Report() workspaces, one per group, built lazily.
-  std::vector<std::optional<Monitor>> group_scratch_;
+  std::optional<Monitor> scratch_;  // Report() fold workspace
 };
 
 }  // namespace substream

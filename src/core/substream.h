@@ -24,13 +24,9 @@
 #include "sketch/hyperloglog.h"      // IWYU pragma: export
 #include "sketch/kmv.h"              // IWYU pragma: export
 #include "sketch/level_sets.h"       // IWYU pragma: export
-#include "sketch/misra_gries.h"      // IWYU pragma: export
 #include "sketch/space_saving.h"     // IWYU pragma: export
 #include "stream/exact_stats.h"      // IWYU pragma: export
 #include "stream/generators.h"       // IWYU pragma: export
-#include "stream/adaptive_sampler.h"  // IWYU pragma: export
-#include "stream/priority_sampling.h"  // IWYU pragma: export
-#include "stream/reservoir.h"        // IWYU pragma: export
 #include "stream/sample_and_hold.h"  // IWYU pragma: export
 #include "stream/samplers.h"         // IWYU pragma: export
 #include "stream/stream.h"           // IWYU pragma: export

@@ -97,7 +97,7 @@ enum class TypeTag : std::uint8_t {
   kAmsF2Sketch = 5,
   kHyperLogLog = 6,
   kKmvSketch = 7,
-  kMisraGries = 8,
+  // 8 is retired: older readers decode it as Misra–Gries. Never reuse it.
   kSpaceSaving = 9,
   kEntropyMleEstimator = 10,
   kAmsEntropySketch = 11,

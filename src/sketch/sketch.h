@@ -60,7 +60,7 @@
 ///    `ScaleCounter(counter, weight)`. Weight 1 is the exact merge, and
 ///    the counter-add loops run their plain add there. The frequency-
 ///    insensitive and non-linear summaries (KMV, HyperLogLog, AMS-F2,
-///    Misra–Gries, SpaceSaving, AMS entropy) keep the unweighted form.
+///    SpaceSaving, AMS entropy) keep the unweighted form.
 ///  - `bool MergeCompatibleWith(const S& other) const` — true exactly when
 ///    `Merge(other)` would succeed, checked all the way down through
 ///    nested summaries. This is the graceful form of the Merge

@@ -11,9 +11,9 @@
 #include "util/common.h"
 
 /// \file space_saving.h
-/// SpaceSaving summary (Metwally et al.) — the other classic deterministic
-/// insert-only heavy-hitter structure; provided as a baseline alongside
-/// Misra–Gries so experiments can compare summary families on L.
+/// SpaceSaving summary (Metwally et al.) — a classic deterministic
+/// insert-only heavy-hitter structure: the counter-based summary that can
+/// stand in for CountMin on insert-only sampled streams L.
 
 namespace substream {
 

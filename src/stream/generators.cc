@@ -60,7 +60,8 @@ Stream StreamFromFrequencies(const std::vector<count_t>& frequencies,
     }
   }
   // Fisher–Yates shuffle: collision-based estimators are order-insensitive
-  // but heavy-hitter summaries (Misra–Gries) are not, so randomize.
+  // but counter-based heavy-hitter summaries (SpaceSaving) are not, so
+  // randomize.
   Rng rng(seed);
   for (std::size_t i = out.size(); i > 1; --i) {
     std::swap(out[i - 1], out[rng.NextBounded(i)]);

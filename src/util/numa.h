@@ -17,8 +17,10 @@
 ///
 /// Resolution order:
 ///  1. `SKETCH_FORCE_NUMA_GROUPS=<g>` — splits the online CPUs round-robin
-///     into `g` emulated groups. CI uses this to exercise multi-group code
-///     paths on single-socket runners.
+///     into `g` emulated groups. CI and the shard-group tests use this to
+///     exercise grouped worker pinning and per-group stats on single-socket
+///     runners; it is also the only way to choose a layout other than the
+///     detected one.
 ///  2. `/sys/devices/system/node/node<k>/cpulist` — real node topology.
 ///  3. Single group holding every online CPU.
 

@@ -29,7 +29,6 @@
 #include "sketch/hyperloglog.h"
 #include "sketch/kmv.h"
 #include "sketch/level_sets.h"
-#include "sketch/misra_gries.h"
 #include "sketch/sketch.h"
 #include "sketch/space_saving.h"
 #include "stream/generators.h"
@@ -193,10 +192,6 @@ TEST(IngestEquivalenceTest, AmsEntropySketch) {
 TEST(IngestEquivalenceTest, AmsF2Sketch) {
   ExpectPathEquivalence(
       [] { return AmsF2Sketch::WithGeometry(5, 32, 31); });
-}
-
-TEST(IngestEquivalenceTest, MisraGries) {
-  ExpectPathEquivalence([] { return MisraGries(64); });
 }
 
 TEST(IngestEquivalenceTest, SpaceSaving) {

@@ -93,35 +93,6 @@ TEST(MergeTest, HllEqualsConcatenation) {
   EXPECT_DOUBLE_EQ(sa.Estimate(), sboth.Estimate());
 }
 
-TEST(MergeTest, MisraGriesKeepsGuaranteeAfterMerge) {
-  TwoStreams t = MakeStreams();
-  const std::size_t k = 64;
-  MisraGries sa(k), sb(k);
-  for (item_t x : t.a) sa.Update(x);
-  for (item_t x : t.b) sb.Update(x);
-  sa.Merge(sb);
-  FrequencyTable exact = ExactStats(t.both);
-  // Mergeable-summaries guarantee: estimates never overestimate and the
-  // total error stays within F1 / (k+1) for the combined stream (Agarwal
-  // et al.); the accumulated decrement bound is exposed directly.
-  for (const auto& [item, f] : exact.counts()) {
-    EXPECT_LE(sa.Estimate(item), f);
-    EXPECT_GE(static_cast<double>(sa.Estimate(item)),
-              static_cast<double>(f) -
-                  static_cast<double>(sa.ErrorBound()) - 1.0);
-  }
-  EXPECT_LE(static_cast<double>(sa.ErrorBound()),
-            2.0 * static_cast<double>(exact.F1()) / (k + 1));
-}
-
-TEST(MergeTest, MisraGriesMergeBoundedSize) {
-  MisraGries sa(16), sb(16);
-  for (item_t x = 0; x < 200; ++x) sa.Update(x, 10 + x);
-  for (item_t x = 100; x < 300; ++x) sb.Update(x, 5 + x);
-  sa.Merge(sb);
-  EXPECT_LE(sa.SpaceBytes(), 16u * (sizeof(item_t) + sizeof(count_t)));
-}
-
 TEST(MergeTest, IndykWoodruffEqualsConcatenationEstimates) {
   TwoStreams t = MakeStreams();
   LevelSetParams params;
@@ -328,9 +299,6 @@ TEST(MergePreconditionDeathTest, MismatchedGeometryOrSeedAborts) {
 
   HyperLogLog hll_a(12, 15), hll_b(12, 16);
   EXPECT_DEATH(hll_a.Merge(hll_b), "incompatible HyperLogLog");
-
-  MisraGries mg_a(16), mg_b(32);
-  EXPECT_DEATH(mg_a.Merge(mg_b), "different k");
 
   SpaceSaving ss_a(16), ss_b(32);
   EXPECT_DEATH(ss_a.Merge(ss_b), "different k");

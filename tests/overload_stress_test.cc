@@ -45,7 +45,6 @@ ShardedMonitorOptions SlowConsumerOptions() {
   options.shards = 1;
   options.ring_capacity = 4;
   options.batch_items = 256;
-  options.groups = 1;
   options.pin_workers = false;
   options.throttle_consumer_ns = 200 * 1000;
   return options;

@@ -25,7 +25,6 @@
 #include "sketch/hyperloglog.h"
 #include "sketch/kmv.h"
 #include "sketch/level_sets.h"
-#include "sketch/misra_gries.h"
 #include "sketch/space_saving.h"
 #include "stream/generators.h"
 #include "util/random.h"
@@ -167,12 +166,6 @@ TEST(SerdeCorruptTest, KmvSketch) {
   KmvSketch sketch(64, 11);
   FeedAll(sketch);
   RunAll(MakeDecoder<KmvSketch>(), Encode(sketch), 7);
-}
-
-TEST(SerdeCorruptTest, MisraGries) {
-  MisraGries summary(32);
-  FeedAll(summary);
-  RunAll(MakeDecoder<MisraGries>(), Encode(summary), 8);
 }
 
 TEST(SerdeCorruptTest, SpaceSaving) {

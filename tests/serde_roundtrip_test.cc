@@ -28,7 +28,6 @@
 #include "sketch/hyperloglog.h"
 #include "sketch/kmv.h"
 #include "sketch/level_sets.h"
-#include "sketch/misra_gries.h"
 #include "sketch/space_saving.h"
 #include "stream/generators.h"
 
@@ -195,18 +194,6 @@ TEST(SerdeRoundTripTest, KmvSketch) {
   KmvSketch sketch = make();
   Feed(sketch, StreamA());
   ExpectByteStableRoundTrip(sketch);
-}
-
-TEST(SerdeRoundTripTest, MisraGries) {
-  auto make = [] { return MisraGries(64); };
-  ExpectMergeAfterRoundTripIdentical<MisraGries>(make, [](const auto& s) {
-    double sum = static_cast<double>(s.TotalCount()) +
-                 static_cast<double>(s.ErrorBound());
-    for (const auto& [item, count] : s.Candidates(1.0)) {
-      sum += static_cast<double>(item) + static_cast<double>(count);
-    }
-    return sum;
-  });
 }
 
 TEST(SerdeRoundTripTest, SpaceSaving) {

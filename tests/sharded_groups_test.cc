@@ -1,14 +1,19 @@
-/// Shard-group invariants: the NUMA-aware group layout is placement and
-/// merge-locality machinery ONLY — it must never change what the pipeline
-/// computes. Pins:
+/// Shard-group invariants: the NUMA-aware group layout is placement
+/// machinery ONLY — it must never change what the pipeline computes. The
+/// layouts are forced through SKETCH_FORCE_NUMA_GROUPS, the same override
+/// the emulated-groups CI leg sets. Pins:
 ///  - a forced 1-group and a forced N-group pipeline over the same input
 ///    produce byte-identical CollectWindow() monitors and EQ-comparable
-///    Report()s (the two-level merge visits shards in flat order);
+///    Report()s;
 ///  - group layout never changes shard routing;
 ///  - Stats() carries the group count and per-group ring high-water marks;
 ///  - both layouts match the monolithic single-threaded Monitor.
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdlib>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -26,12 +31,40 @@ using pipeline_test::kSeed;
 using pipeline_test::SampledStream;
 using pipeline_test::TestConfig;
 
-ShardedMonitorOptions GroupedOptions(std::size_t groups) {
+constexpr std::size_t kShards = 4;
+constexpr const char* kForceGroupsEnv = "SKETCH_FORCE_NUMA_GROUPS";
+
+/// Sets SKETCH_FORCE_NUMA_GROUPS for the guard's lifetime and restores the
+/// ambient value afterwards, so later tests in this process see the
+/// environment they started with.
+class ForcedGroups {
+ public:
+  explicit ForcedGroups(std::size_t groups) {
+    const char* prior = std::getenv(kForceGroupsEnv);
+    had_prior_ = prior != nullptr;
+    if (had_prior_) prior_ = prior;
+    setenv(kForceGroupsEnv, std::to_string(groups).c_str(), 1);
+  }
+  ~ForcedGroups() {
+    if (had_prior_) {
+      setenv(kForceGroupsEnv, prior_.c_str(), 1);
+    } else {
+      unsetenv(kForceGroupsEnv);
+    }
+  }
+  ForcedGroups(const ForcedGroups&) = delete;
+  ForcedGroups& operator=(const ForcedGroups&) = delete;
+
+ private:
+  bool had_prior_ = false;
+  std::string prior_;
+};
+
+ShardedMonitorOptions GroupedOptions() {
   ShardedMonitorOptions options;
-  options.shards = 4;
+  options.shards = kShards;
   options.ring_capacity = 8;
   options.batch_items = 256;
-  options.groups = groups;
   // Emulated groups on a (possibly) single-node CI host: pinning every
   // "group" to the same node is legal but pointless, and keeping the
   // affinity mask untouched makes the test immune to restricted cpusets.
@@ -39,21 +72,31 @@ ShardedMonitorOptions GroupedOptions(std::size_t groups) {
   return options;
 }
 
+/// A 4-shard pipeline built while `requested` groups are forced. The
+/// forced split clamps to the online CPUs and the pipeline to its shard
+/// count, so a 1-2 CPU runner resolves fewer groups than requested.
+std::unique_ptr<ShardedMonitor> GroupedPipeline(std::size_t requested) {
+  ForcedGroups forced(requested);
+  auto pipeline =
+      std::make_unique<ShardedMonitor>(TestConfig(), kSeed, GroupedOptions());
+  EXPECT_EQ(pipeline->groups(),
+            std::min({requested, numa::DetectTopology().groups(), kShards}));
+  return pipeline;
+}
+
 TEST(ShardedGroupsTest, OneGroupVsManyGroupsByteIdentical) {
   const Stream s = SampledStream(60000, 17);
 
-  ShardedMonitor flat(TestConfig(), kSeed, GroupedOptions(1));
-  ShardedMonitor grouped(TestConfig(), kSeed, GroupedOptions(4));
-  ASSERT_EQ(flat.groups(), 1u);
-  ASSERT_EQ(grouped.groups(), 4u);
+  const std::unique_ptr<ShardedMonitor> flat = GroupedPipeline(1);
+  const std::unique_ptr<ShardedMonitor> grouped = GroupedPipeline(4);
+  ASSERT_EQ(flat->groups(), 1u);
 
-  flat.Ingest(s);
-  grouped.Ingest(s);
+  flat->Ingest(s);
+  grouped->Ingest(s);
 
-  // Open-epoch reports agree field by field (Report is scratch-merged — the
-  // flat fold vs the two-level merge).
-  const MonitorReport a = flat.Report();
-  const MonitorReport b = grouped.Report();
+  // Open-epoch reports agree field by field (Report is scratch-merged).
+  const MonitorReport a = flat->Report();
+  const MonitorReport b = grouped->Report();
   EXPECT_EQ(a.sampled_length, b.sampled_length);
   EXPECT_EQ(*a.distinct_items, *b.distinct_items);
   EXPECT_EQ(*a.second_moment, *b.second_moment);
@@ -67,14 +110,14 @@ TEST(ShardedGroupsTest, OneGroupVsManyGroupsByteIdentical) {
 
   // Collected windows are byte-identical — the strongest form (every
   // counter, candidate pool, float row norm and RNG state).
-  flat.Rotate();
-  grouped.Rotate();
-  auto wf = flat.CollectWindow(0);
-  auto wg = grouped.CollectWindow(0);
+  flat->Rotate();
+  grouped->Rotate();
+  auto wf = flat->CollectWindow(0);
+  auto wg = grouped->CollectWindow(0);
   ASSERT_TRUE(wf.has_value());
   ASSERT_TRUE(wg.has_value());
   EXPECT_EQ(Bytes(*wf), Bytes(*wg))
-      << "1-group vs 4-group merged window differs";
+      << "1-group vs " << grouped->groups() << "-group merged window differs";
 
   // And both agree with the monolithic reference monitor on the linear
   // report surface (full byte identity with an unsharded monitor is not a
@@ -89,15 +132,15 @@ TEST(ShardedGroupsTest, OneGroupVsManyGroupsByteIdentical) {
 
 TEST(ShardedGroupsTest, RepeatedGroupedReportsAreStable) {
   const Stream s = SampledStream(30000, 23);
-  ShardedMonitor grouped(TestConfig(), kSeed, GroupedOptions(2));
-  grouped.Ingest(s);
-  const MonitorReport first = grouped.Report();
-  const MonitorReport second = grouped.Report();
+  const std::unique_ptr<ShardedMonitor> grouped = GroupedPipeline(2);
+  grouped->Ingest(s);
+  const MonitorReport first = grouped->Report();
+  const MonitorReport second = grouped->Report();
   EXPECT_EQ(first.sampled_length, second.sampled_length);
   EXPECT_EQ(*first.second_moment, *second.second_moment);
   // Report must not consume anything: windows rotate and collect intact.
-  grouped.Rotate();
-  auto window = grouped.CollectWindow(0);
+  grouped->Rotate();
+  auto window = grouped->CollectWindow(0);
   ASSERT_TRUE(window.has_value());
   EXPECT_EQ(window->Report().sampled_length, first.sampled_length);
 }
@@ -114,42 +157,38 @@ TEST(ShardedGroupsTest, RoutingIndependentOfGroupLayout) {
 
 TEST(ShardedGroupsTest, StatsCarryGroupLayout) {
   const Stream s = SampledStream(20000, 29);
-  ShardedMonitor grouped(TestConfig(), kSeed, GroupedOptions(2));
-  grouped.Ingest(s);
-  grouped.Drain();
-  const ShardedMonitorStats stats = grouped.Stats();
-  EXPECT_EQ(stats.groups, 2u);
-  ASSERT_EQ(stats.group_ring_hwm.size(), 2u);
-  // Every shard got data (60k items over 4 shards), so both groups pushed
-  // at least one batch and recorded an occupancy mark.
-  EXPECT_GE(stats.group_ring_hwm[0] + stats.group_ring_hwm[1], 1u);
+  const std::unique_ptr<ShardedMonitor> grouped = GroupedPipeline(2);
+  grouped->Ingest(s);
+  grouped->Drain();
+  const ShardedMonitorStats stats = grouped->Stats();
+  EXPECT_EQ(stats.groups, grouped->groups());
+  ASSERT_EQ(stats.group_ring_hwm.size(), grouped->groups());
+  // Every shard got data (6k sampled items over 4 shards), so every group
+  // pushed batches and recorded an occupancy mark.
+  std::uint64_t marks = 0;
+  for (std::uint64_t hwm : stats.group_ring_hwm) marks += hwm;
+  EXPECT_GE(marks, 1u);
   EXPECT_EQ(stats.items_consumed, stats.items_ingested);
 }
 
 TEST(ShardedGroupsTest, GroupsClampToShardCount) {
-  // More groups than shards degrades to one group per shard, and the
-  // pipeline still works end to end.
-  ShardedMonitorOptions options = GroupedOptions(16);
-  ShardedMonitor pipeline(TestConfig(), kSeed, options);
-  EXPECT_EQ(pipeline.groups(), options.shards);
+  // More groups than shards degrades to at most one group per shard (the
+  // helper checks the resolved count), and the pipeline still works end
+  // to end.
+  const std::unique_ptr<ShardedMonitor> pipeline = GroupedPipeline(16);
+  EXPECT_LE(pipeline->groups(), kShards);
   const Stream s = SampledStream(5000, 31);
-  pipeline.Ingest(s);
-  const MonitorReport report = pipeline.Report();
+  pipeline->Ingest(s);
+  const MonitorReport report = pipeline->Report();
   EXPECT_EQ(report.sampled_length, static_cast<count_t>(s.size()));
 }
 
-TEST(ShardedGroupsTest, AutoLayoutFollowsDetectedTopology) {
-  // groups = 0 resolves against DetectTopology() (which honors
-  // SKETCH_FORCE_NUMA_GROUPS — the emulated-groups CI leg drives >1 here).
-  ShardedMonitorOptions options;
-  options.shards = 4;
-  options.groups = 0;
-  options.pin_workers = false;
-  ShardedMonitor pipeline(TestConfig(), kSeed, options);
-  const numa::Topology topo = numa::DetectTopology();
-  const std::size_t expected =
-      topo.groups() < options.shards ? topo.groups() : options.shards;
-  EXPECT_EQ(pipeline.groups(), expected);
+TEST(ShardedGroupsTest, AmbientLayoutFollowsDetectedTopology) {
+  // Without a forced override in scope the pipeline resolves against the
+  // ambient DetectTopology() (the emulated-groups CI leg drives >1 here).
+  ShardedMonitor pipeline(TestConfig(), kSeed, GroupedOptions());
+  EXPECT_EQ(pipeline.groups(),
+            std::min(numa::DetectTopology().groups(), kShards));
   EXPECT_GE(pipeline.groups(), 1u);
 }
 

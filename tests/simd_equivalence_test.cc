@@ -38,7 +38,6 @@
 #include "sketch/hyperloglog.h"
 #include "sketch/kmv.h"
 #include "sketch/level_sets.h"
-#include "sketch/misra_gries.h"
 #include "sketch/sketch.h"
 #include "sketch/space_saving.h"
 #include "stream/generators.h"
@@ -400,10 +399,6 @@ TEST(SimdEquivalenceTest, AmsEntropySketch) {
 TEST(SimdEquivalenceTest, AmsF2Sketch) {
   ExpectDispatchEquivalence(
       [] { return AmsF2Sketch::WithGeometry(5, 32, 31); });
-}
-
-TEST(SimdEquivalenceTest, MisraGries) {
-  ExpectDispatchEquivalence([] { return MisraGries(64); });
 }
 
 TEST(SimdEquivalenceTest, SpaceSaving) {

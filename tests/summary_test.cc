@@ -2,81 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include "sketch/misra_gries.h"
 #include "sketch/space_saving.h"
 #include "stream/exact_stats.h"
 #include "stream/generators.h"
 
 namespace substream {
 namespace {
-
-TEST(MisraGriesTest, NeverOverestimates) {
-  ZipfGenerator g(1000, 1.2, 1);
-  Stream s = Materialize(g, 50000);
-  FrequencyTable exact = ExactStats(s);
-  MisraGries mg(50);
-  for (item_t a : s) mg.Update(a);
-  for (const auto& [item, f] : exact.counts()) {
-    EXPECT_LE(mg.Estimate(item), f) << "item " << item;
-  }
-}
-
-TEST(MisraGriesTest, ErrorBoundedByF1OverK) {
-  ZipfGenerator g(1000, 1.2, 2);
-  Stream s = Materialize(g, 50000);
-  FrequencyTable exact = ExactStats(s);
-  const std::size_t k = 100;
-  MisraGries mg(k);
-  for (item_t a : s) mg.Update(a);
-  const double bound = static_cast<double>(s.size()) / (k + 1);
-  for (const auto& [item, f] : exact.counts()) {
-    EXPECT_GE(static_cast<double>(mg.Estimate(item)),
-              static_cast<double>(f) - bound)
-        << "item " << item;
-  }
-  EXPECT_LE(static_cast<double>(mg.ErrorBound()), bound + 1.0);
-}
-
-TEST(MisraGriesTest, GuaranteedSurvivorsPresent) {
-  PlantedHeavyHitterGenerator g(3, 0.6, 5000, 3);
-  Stream s = Materialize(g, 60000);
-  MisraGries mg(20);
-  for (item_t a : s) mg.Update(a);
-  // Items with f > F1/(k+1) must survive: planted items have ~20% >> 1/21.
-  for (item_t id : g.HeavyIds()) {
-    EXPECT_GT(mg.Estimate(id), 0u) << "planted item evicted " << id;
-  }
-}
-
-TEST(MisraGriesTest, WeightedUpdates) {
-  MisraGries mg(4);
-  mg.Update(1, 100);
-  mg.Update(2, 50);
-  EXPECT_EQ(mg.Estimate(1), 100u);
-  EXPECT_EQ(mg.Estimate(2), 50u);
-  EXPECT_EQ(mg.TotalCount(), 150u);
-}
-
-TEST(MisraGriesTest, EvictionAndComeback) {
-  MisraGries mg(2);
-  mg.Update(1, 5);
-  mg.Update(2, 5);
-  mg.Update(3, 3);  // decrements everyone by 3, 3 itself gone
-  EXPECT_EQ(mg.Estimate(1), 2u);
-  EXPECT_EQ(mg.Estimate(2), 2u);
-  EXPECT_EQ(mg.Estimate(3), 0u);
-}
-
-TEST(MisraGriesTest, CandidatesSorted) {
-  ZipfGenerator g(100, 1.5, 4);
-  Stream s = Materialize(g, 20000);
-  MisraGries mg(16);
-  for (item_t a : s) mg.Update(a);
-  auto c = mg.Candidates(1.0);
-  for (std::size_t i = 1; i < c.size(); ++i) {
-    EXPECT_GE(c[i - 1].second, c[i].second);
-  }
-}
 
 TEST(SpaceSavingTest, NeverUnderestimatesTrackedItems) {
   ZipfGenerator g(1000, 1.2, 5);
@@ -122,20 +53,15 @@ TEST(SpaceSavingTest, TableSizeBounded) {
   EXPECT_LE(ss.SpaceBytes(), 64u * (sizeof(item_t) + 2 * sizeof(count_t)));
 }
 
-TEST(SummaryComparisonTest, BothFindTheSameTopItems) {
+TEST(SpaceSavingTest, FindsTheTopItems) {
   ZipfGenerator g(2000, 1.4, 9);
   Stream s = Materialize(g, 80000);
   FrequencyTable exact = ExactStats(s);
-  MisraGries mg(64);
   SpaceSaving ss(64);
-  for (item_t a : s) {
-    mg.Update(a);
-    ss.Update(a);
-  }
+  for (item_t a : s) ss.Update(a);
   auto top = exact.TopK(5);
   for (const auto& [item, f] : top) {
     (void)f;
-    EXPECT_GT(mg.Estimate(item), 0u);
     EXPECT_GT(ss.Estimate(item), 0u);
   }
 }

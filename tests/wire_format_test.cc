@@ -102,6 +102,32 @@ TEST(WireFormatTest, HyperLogLogGoldenBytes) {
             "060404080000000000000000000000010000000000000500000000");
 }
 
+TEST(WireFormatTest, TypeTagValuesArePinned) {
+  // Every record starts with its tag byte, and the golden cases above pin
+  // only a few tags. Pin them all, so deleting or inserting an enumerator
+  // can never shift a tag. 8 is retired and must stay unused.
+  auto tag = [](serde::TypeTag t) { return static_cast<int>(t); };
+  EXPECT_EQ(tag(serde::TypeTag::kCountMinSketch), 1);
+  EXPECT_EQ(tag(serde::TypeTag::kCountMinHeavyHitters), 2);
+  EXPECT_EQ(tag(serde::TypeTag::kCountSketch), 3);
+  EXPECT_EQ(tag(serde::TypeTag::kCountSketchHeavyHitters), 4);
+  EXPECT_EQ(tag(serde::TypeTag::kAmsF2Sketch), 5);
+  EXPECT_EQ(tag(serde::TypeTag::kHyperLogLog), 6);
+  EXPECT_EQ(tag(serde::TypeTag::kKmvSketch), 7);
+  EXPECT_EQ(tag(serde::TypeTag::kSpaceSaving), 9);
+  EXPECT_EQ(tag(serde::TypeTag::kEntropyMleEstimator), 10);
+  EXPECT_EQ(tag(serde::TypeTag::kAmsEntropySketch), 11);
+  EXPECT_EQ(tag(serde::TypeTag::kIndykWoodruffEstimator), 12);
+  EXPECT_EQ(tag(serde::TypeTag::kExactLevelSets), 13);
+  EXPECT_EQ(tag(serde::TypeTag::kF0Estimator), 14);
+  EXPECT_EQ(tag(serde::TypeTag::kFkEstimator), 15);
+  EXPECT_EQ(tag(serde::TypeTag::kEntropyEstimator), 16);
+  EXPECT_EQ(tag(serde::TypeTag::kF1HeavyHitterEstimator), 17);
+  EXPECT_EQ(tag(serde::TypeTag::kF2HeavyHitterEstimator), 18);
+  EXPECT_EQ(tag(serde::TypeTag::kMonitor), 19);
+  EXPECT_EQ(tag(serde::TypeTag::kWindowedMonitor), 20);
+}
+
 TEST(WireFormatTest, CompactCellSpillGoldenBytes) {
   // A u8-cell CountMin whose hot item crosses the 8-bit saturation point:
   // the record must carry cell_width=k8, a non-zero upper-level count, and
