@@ -95,8 +95,7 @@ BENCHMARK(BM_F0Update)->Arg(0)->Arg(1);
 void BM_EntropyUpdateMle(benchmark::State& state) {
   EntropyParams params;
   params.p = 0.1;
-  params.backend = EntropyBackend::kMle;
-  EntropyEstimator est(params, 13);
+  EntropyEstimator est(params);
   Stream s = BenchStream(1 << 14);
   std::size_t i = 0;
   for (auto _ : state) {

@@ -153,7 +153,7 @@ int main(int argc, char** argv) {
 
   // --- Individual counter-table sketches.
   BenchSummary("countmin", repeats, sampled, cols,
-               [] { return CountMinSketch(4, 4096, false, 3); });
+               [] { return CountMinSketch(4, 4096, 3); });
   BenchSummary("countsketch", repeats, sampled, cols,
                [] { return CountSketch(5, 4096, 3); });
 
@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
     kernels::SetActive(simd::Isa::kScalar);
     const double countmin_scalar = BestRate(
         repeats, items,
-        [] { return CountMinSketch(4, 4096, false, 3); },
+        [] { return CountMinSketch(4, 4096, 3); },
         [&](auto& sk) {
           for (item_t a : sampled) sk.Update(a);
         });
@@ -282,8 +282,9 @@ int main(int argc, char** argv) {
 
     // p = 1: the bench stream is fed unsampled, so the report's estimate
     // targets the fed stream itself and measured_epsilon is well defined.
-    // Entropy is off on both sides: its reservoir grows with the data (not
-    // a plannable fixed geometry), so it would blur the equal-memory claim.
+    // Entropy is off on both sides: its frequency map grows with the data
+    // (not a plannable fixed geometry), so it would blur the equal-memory
+    // claim.
     MonitorConfig handpicked_config = BenchConfig();
     handpicked_config.p = 1.0;
     handpicked_config.enable_entropy = false;

@@ -109,7 +109,6 @@ int main(int argc, char** argv) {
   Run("KmvSketch", KmvSketch(1024, 3));
   Run("SpaceSaving", SpaceSaving(256));
   Run("EntropyMleEstimator", EntropyMleEstimator());
-  Run("AmsEntropySketch", AmsEntropySketch(0.2, 0.05, 3));
   {
     LevelSetParams params;  // default geometry, universe-appropriate depth
     params.max_depth = 16;
@@ -130,7 +129,7 @@ int main(int argc, char** argv) {
   {
     EntropyParams params;
     params.p = 0.1;
-    Run("EntropyEstimator", EntropyEstimator(params, 3));
+    Run("EntropyEstimator", EntropyEstimator(params));
   }
   {
     HeavyHitterParams params;

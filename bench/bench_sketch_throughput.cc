@@ -80,7 +80,7 @@ void BM_ZipfGenerate(benchmark::State& state) {
 BENCHMARK(BM_ZipfGenerate);
 
 void BM_CountMinUpdate(benchmark::State& state) {
-  CountMinSketch cm(static_cast<int>(state.range(0)), 4096, false, 9);
+  CountMinSketch cm(static_cast<int>(state.range(0)), 4096, 9);
   Stream s = BenchStream(1 << 14);
   std::size_t i = 0;
   for (auto _ : state) {
@@ -102,7 +102,7 @@ void BM_CountSketchUpdate(benchmark::State& state) {
 BENCHMARK(BM_CountSketchUpdate)->Arg(5)->Arg(9);
 
 void BM_CountMinUpdateBatch(benchmark::State& state) {
-  CountMinSketch cm(static_cast<int>(state.range(0)), 4096, false, 9);
+  CountMinSketch cm(static_cast<int>(state.range(0)), 4096, 9);
   Stream s = BenchStream(1 << 14);
   for (auto _ : state) {
     FeedItems(cm, s.data(), s.size());
@@ -242,18 +242,6 @@ void BM_HyperLogLogUpdate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HyperLogLogUpdate);
-
-void BM_AmsEntropyUpdate(benchmark::State& state) {
-  AmsEntropySketch sketch = AmsEntropySketch::WithGeometry(
-      5, static_cast<std::size_t>(state.range(0)), 21);
-  Stream s = BenchStream(1 << 14);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    sketch.Update(s[i++ & (s.size() - 1)]);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AmsEntropyUpdate)->Arg(16)->Arg(64);
 
 void BM_IndykWoodruffUpdate(benchmark::State& state) {
   LevelSetParams params;

@@ -7,7 +7,7 @@
 #include <vector>
 
 /// \file bench_util.h
-/// Shared plumbing for the experiment harnesses (E1..E9 in DESIGN.md §5):
+/// Shared plumbing for the experiment harnesses (the `exp_*` binaries):
 /// fixed-width table printing and wall-clock timing. Each experiment binary
 /// prints the table(s) that reproduce one theorem's observable content.
 

@@ -1,7 +1,7 @@
 /// A1 (ablation): the Indyk–Woodruff level-set structure has four knobs the
 /// paper hides inside Õ(·). This harness ablates each against the default
-/// configuration on a fixed F2 task so DESIGN.md's design choices are
-/// justified by measurement:
+/// configuration on a fixed F2 task so the default choices are justified by
+/// measurement:
 ///   - cs_width (the 1/gamma space knob),
 ///   - cs_depth (median amplification rows),
 ///   - heavy_factor (recoverability threshold),

@@ -47,9 +47,8 @@ void RunExperiment() {
         EntropyParams params;
         params.p = p;
         params.n_hint = static_cast<double>(n);
-        params.backend = EntropyBackend::kMle;
         BernoulliSampler sampler(p, 500 + static_cast<std::uint64_t>(t));
-        EntropyEstimator est(params, 600 + static_cast<std::uint64_t>(t));
+        EntropyEstimator est(params);
         for (item_t a : original) {
           if (sampler.Keep()) est.Update(a);
         }

@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   EntropyParams h_params;
   h_params.p = p;
   h_params.n_hint = static_cast<double>(n);
-  EntropyEstimator entropy(h_params, /*seed=*/3);
+  EntropyEstimator entropy(h_params);
 
   HeavyHitterParams hh_params;
   hh_params.alpha = 0.02;

@@ -1,7 +1,6 @@
 #ifndef SUBSTREAM_CORE_ENTROPY_ESTIMATOR_H_
 #define SUBSTREAM_CORE_ENTROPY_ESTIMATOR_H_
 
-#include <memory>
 #include <optional>
 
 #include "sketch/entropy_sketch.h"
@@ -22,30 +21,20 @@
 
 namespace substream {
 
-/// Streaming backend used to estimate H(g) on L.
-enum class EntropyBackend {
-  kMle,          ///< plug-in entropy over exact counts of L
-  kMillerMadow,  ///< MLE + Miller–Madow bias correction
-  kAmsSketch,    ///< Chakrabarti–Cormode–McGregor AMS-style sketch
-};
-
 /// Parameters of the entropy estimator.
 struct EntropyParams {
   double p = 1.0;    ///< sampling probability of L
   /// Original stream length n, if known; 0 means "infer as F1(L)/p". Used
   /// for H_pn normalization and the validity threshold.
   double n_hint = 0.0;
-  EntropyBackend backend = EntropyBackend::kMle;
-  double epsilon = 0.2;   ///< AMS sketch relative error target
-  double delta = 0.05;    ///< AMS sketch failure probability
 };
 
 /// Result of an entropy estimation (all entropies in bits).
 struct EntropyResult {
   /// The estimate of H(f): the (multiplicative) estimate of H(g).
   double entropy = 0.0;
-  /// The paper's normalized quantity H_pn(g) (MLE backends only; otherwise
-  /// equals `entropy`).
+  /// The paper's normalized quantity H_pn(g) (equals `entropy` when n is 0:
+  /// no hint and nothing consumed).
   double entropy_hpn = 0.0;
   /// Validity threshold p^{-1/2} n^{-1/6} from Lemma 10/Theorem 5.
   double threshold = 0.0;
@@ -54,41 +43,32 @@ struct EntropyResult {
   bool reliable = false;
 };
 
-/// One-pass entropy estimator over the sampled stream (Theorem 5).
+/// One-pass entropy estimator over the sampled stream (Theorem 5): the
+/// plug-in entropy of an exact frequency map of L (EntropyMleEstimator).
 class EntropyEstimator {
  public:
-  EntropyEstimator(const EntropyParams& params, std::uint64_t seed);
-  ~EntropyEstimator();
-  EntropyEstimator(EntropyEstimator&&) noexcept;
-  EntropyEstimator& operator=(EntropyEstimator&&) noexcept;
+  explicit EntropyEstimator(const EntropyParams& params);
 
   /// Feeds one element of the sampled stream L.
   void Update(item_t item);
 
   /// Feeds `n` already-prehashed elements of L (the Monitor pipeline's
-  /// columnar entry point; the entropy backends replay scalar updates, so
-  /// the per-item and column paths stay bit-identical), each carrying
-  /// `weight` units. Weights above 1 (sampled ingest) are MLE-backend only
-  /// — the AMS reservoir samples stream *positions* and cannot absorb
-  /// weighted occurrences (same restriction as a decayed Merge); Monitor
-  /// always runs the MLE backend.
+  /// columnar entry point; the frequency map replays scalar updates, so the
+  /// per-item and column paths stay bit-identical), each carrying `weight`
+  /// units (weights above 1 come from sampled ingest).
   void UpdatePrehashed(PrehashedColumns cols, std::size_t n,
                        count_t weight = 1);
 
-  /// Merges an estimator built with the same parameters and seed. The MLE
-  /// backends merge exactly; the AMS sketch merges via the distributed-
-  /// reservoir rule (see AmsEntropySketch::Merge). Decayed merge (`weight`
-  /// in (0, 1), MLE backends only — an AMS reservoir position cannot be
-  /// weight-scaled, and Monitor always uses MLE): counts contribute scaled
-  /// by `weight`, yielding the entropy of the decayed empirical
-  /// distribution.
+  /// Merges an estimator built with the same p; counts add exactly.
+  /// Decayed merge (`weight` in (0, 1)): counts contribute scaled by
+  /// `weight`, yielding the entropy of the decayed empirical distribution.
   void Merge(const EntropyEstimator& other, double weight = 1.0);
   /// True when Merge(other) preconditions hold, checked all the way
   /// down through nested summaries; the Collector uses this to reject
   /// decoded-but-incompatible records instead of tripping the abort.
   bool MergeCompatibleWith(const EntropyEstimator& other) const;
 
-  /// Clears all state; parameters, seed and backend are kept.
+  /// Clears all state; parameters are kept.
   void Reset();
 
   EntropyResult Estimate() const;
@@ -101,24 +81,17 @@ class EntropyEstimator {
 
   std::size_t SpaceBytes() const;
 
-  /// Appends the versioned wire record: parameter header, then the active
-  /// backend's nested record.
+  /// Appends the versioned wire record: parameter header, then the nested
+  /// EntropyMleEstimator record.
   void Serialize(serde::Writer& out) const;
 
   /// Decodes one record; std::nullopt on truncated or corrupted input.
   static std::optional<EntropyEstimator> Deserialize(serde::Reader& in);
 
  private:
-  /// Deserialize-only: adopts params without building a backend (the
-  /// decoded nested record supplies it).
-  struct DeserializeTag {};
-  EntropyEstimator(DeserializeTag, const EntropyParams& params)
-      : params_(params) {}
-
   EntropyParams params_;
   count_t sampled_length_ = 0;
-  std::unique_ptr<EntropyMleEstimator> mle_;
-  std::unique_ptr<AmsEntropySketch> ams_;
+  EntropyMleEstimator mle_;
 };
 
 }  // namespace substream

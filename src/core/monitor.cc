@@ -62,7 +62,7 @@ Monitor::Monitor(const MonitorConfig& config, std::uint64_t seed)
     EntropyParams params;
     params.p = config_.p;
     params.n_hint = config_.n_hint;
-    entropy_.emplace(params, DeriveSeed(seed, 3));
+    entropy_.emplace(params);
   }
   if (config_.enable_heavy_hitters) {
     HeavyHitterParams params;
@@ -181,14 +181,12 @@ obs::HealthReport Monitor::Health() const {
   if (f0_) f0_->AppendHealth("f0", &report.summaries);
   if (f2_) f2_->AppendHealth("f2", &report.summaries);
   if (entropy_) {
-    // The entropy backends (MLE sample / AMS reservoir) have no counter
-    // table to scan; report identity and footprint so the summary list is
-    // complete per enabled estimator.
+    // The entropy frequency map has no counter table to scan; report
+    // identity and footprint so the summary list is complete per enabled
+    // estimator.
     obs::SummaryHealth health;
     health.name = "entropy";
-    health.kind = entropy_->params().backend == EntropyBackend::kMle
-                      ? "entropy_mle"
-                      : "entropy_ams";
+    health.kind = "entropy_mle";
     health.space_bytes = entropy_->SpaceBytes();
     obs::FinalizeRatios(health);
     report.summaries.push_back(std::move(health));

@@ -100,7 +100,8 @@ enum class TypeTag : std::uint8_t {
   // 8 is retired: older readers decode it as Misra–Gries. Never reuse it.
   kSpaceSaving = 9,
   kEntropyMleEstimator = 10,
-  kAmsEntropySketch = 11,
+  // 11 is retired: older readers decode it as the AMS entropy sketch.
+  // Never reuse it.
   kIndykWoodruffEstimator = 12,
   kExactLevelSets = 13,
   kF0Estimator = 14,

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <type_traits>
 #include <vector>
 
@@ -223,47 +222,6 @@ class CounterTable {
       best = std::min(best, AtFlat(FlatIndex(r, BucketOf(r, ph.hash))));
     }
     return best;
-  }
-
-  /// Conservative update: raises each row's counter only as far as needed
-  /// for the new minimum to reflect the update (insert-only streams). The
-  /// bucket indices are derived once and reused by the read and write
-  /// passes (scalar on purpose — see Add). The target saturates at
-  /// CounterT's max instead of wrapping past it — near-max cells would
-  /// otherwise compute a tiny wrapped target and silently stop rising.
-  void AddConservative(const PrehashedItem& ph, CounterT count) {
-    std::uint64_t idx[kMaxDepth];
-    for (int r = 0; r < depth_; ++r) {
-      idx[static_cast<std::size_t>(r)] = BucketOf(r, ph.hash);
-    }
-    if (cell_width_ == CellWidth::k64) {
-      CounterT best = Row(0)[idx[0]];
-      for (int r = 1; r < depth_; ++r) {
-        best = std::min(best, Row(r)[idx[static_cast<std::size_t>(r)]]);
-      }
-      const CounterT target = SaturatingTarget(best, count);
-      for (int r = 0; r < depth_; ++r) {
-        CounterT& cell = Row(r)[idx[static_cast<std::size_t>(r)]];
-        cell = std::max(cell, target);
-      }
-      return;
-    }
-    CounterT best = AtFlat(FlatIndex(0, idx[0]));
-    for (int r = 1; r < depth_; ++r) {
-      best = std::min(
-          best, AtFlat(FlatIndex(r, idx[static_cast<std::size_t>(r)])));
-    }
-    const CounterT target = SaturatingTarget(best, count);
-    for (int r = 0; r < depth_; ++r) {
-      const std::size_t flat =
-          FlatIndex(r, idx[static_cast<std::size_t>(r)]);
-      const CounterT cur = AtFlat(flat);
-      if (target > cur) {
-        AddAtFlat(flat, static_cast<CounterT>(static_cast<std::uint64_t>(
-                            target) -
-                        static_cast<std::uint64_t>(cur)));
-      }
-    }
   }
 
   /// Unit-count batched add of a prehash column, cache-blocked and
@@ -575,15 +533,6 @@ class CounterTable {
     } else {
       return bits <= (std::uint64_t{1} << b) - 1;
     }
-  }
-
-  static CounterT SaturatingTarget(CounterT best, CounterT count) {
-    const CounterT maxv = std::numeric_limits<CounterT>::max();
-    if (count > CounterT{} && best > static_cast<CounterT>(maxv - count)) {
-      return maxv;
-    }
-    return static_cast<CounterT>(static_cast<std::uint64_t>(best) +
-                                 static_cast<std::uint64_t>(count));
   }
 
   /// Narrow-cell batched unit add: same cache blocking and micro-block

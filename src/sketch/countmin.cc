@@ -34,39 +34,22 @@ CountMinSketch::CountMinSketch(const CountMinParams& params,
                                std::uint64_t seed,
                                CellWidth cell_width)
     : CountMinSketch(DepthFromDelta(params.delta),
-                     WidthFromEpsilon(params.epsilon),
-                     params.conservative_update, seed, cell_width) {}
+                     WidthFromEpsilon(params.epsilon), seed, cell_width) {}
 
 CountMinSketch::CountMinSketch(int depth, std::uint64_t width,
-                               bool conservative_update, std::uint64_t seed,
-                               CellWidth cell_width)
+                               std::uint64_t seed, CellWidth cell_width)
     : depth_(depth),
       width_(width),
-      conservative_update_(conservative_update),
       seed_(seed),
       table_(depth, width, seed, cell_width) {}
 
 void CountMinSketch::Update(const PrehashedItem& ph, count_t count) {
   total_ += count;
-  if (!conservative_update_) {
-    table_.Add(ph, count);
-    return;
-  }
-  table_.AddConservative(ph, count);
+  table_.Add(ph, count);
 }
 
 void CountMinSketch::UpdatePrehashed(PrehashedColumns cols, std::size_t n) {
-  if (conservative_update_) {
-    // Conservative update reads the current minimum before writing, so it
-    // stays a per-item loop — but each item's prehash is still shared
-    // across the read and write passes.
-    for (std::size_t i = 0; i < n; ++i) {
-      table_.AddConservative(cols.At(i), 1);
-    }
-    total_ += n;
-    return;
-  }
-  // Plain CountMin never reads the item identity on ingest, so the table
+  // CountMin never reads the item identity on ingest, so the table
   // takes the hash column alone.
   table_.AddPrehashed(cols.hashes, n);
   total_ += n;
@@ -115,7 +98,9 @@ void CountMinSketch::Serialize(serde::Writer& out) const {
   out.Record(serde::TypeTag::kCountMinSketch);
   out.Varint(static_cast<std::uint64_t>(depth_));
   out.Varint(width_);
-  out.Bool(conservative_update_);
+  // Retired conservative-update flag: always false, kept so the record
+  // layout is unchanged.
+  out.Bool(false);
   out.U64(seed_);
   table_serde::WriteCellWidth(out, table_.cell_width());
   out.Varint(total_);
@@ -128,7 +113,7 @@ std::optional<CountMinSketch> CountMinSketch::Deserialize(serde::Reader& in) {
   if (!in.ExpectRecord(serde::TypeTag::kCountMinSketch)) return std::nullopt;
   const std::uint64_t depth = in.Varint();
   const std::uint64_t width = in.Varint();
-  const bool conservative = in.Bool();
+  const std::uint8_t retired_conservative = in.U8();
   const std::uint64_t seed = in.U64();
   CellWidth cell_width = CellWidth::k64;  // v2 records: 64-bit cells
   if (in.record_version() >= 3 &&
@@ -138,13 +123,12 @@ std::optional<CountMinSketch> CountMinSketch::Deserialize(serde::Reader& in) {
   const count_t total = in.Varint();
   // Mirror the constructor checks, then bound the allocation by the bytes
   // actually present (each counter is at least one varint byte).
-  if (!in.ok() || depth < 1 || depth > 64 || width < 1 ||
-      width > (1ULL << 48)) {
+  if (!in.ok() || retired_conservative != 0 || depth < 1 || depth > 64 ||
+      width < 1 || width > (1ULL << 48)) {
     return std::nullopt;
   }
   if (!in.CanHold(depth * width, 1)) return std::nullopt;
-  CountMinSketch sketch(static_cast<int>(depth), width, conservative, seed,
-                        cell_width);
+  CountMinSketch sketch(static_cast<int>(depth), width, seed, cell_width);
   sketch.total_ = total;
   if (!table_serde::ReadLevels(in, &sketch.table_,
                                in.record_version() == 2)) {
@@ -162,8 +146,7 @@ CountMinHeavyHitters::CountMinHeavyHitters(double phi, double eps_resolution,
               // Counter error must be small relative to the HH threshold:
               // eps_cm * F1 <= (eps_resolution/2) * phi * F1.
               /*epsilon=*/0.5 * eps_resolution * phi,
-              /*delta=*/delta,
-              /*conservative_update=*/false},
+              /*delta=*/delta},
           seed, cell_width) {
   SUBSTREAM_CHECK(phi > 0.0 && phi <= 1.0);
   SUBSTREAM_CHECK(eps_resolution > 0.0 && eps_resolution < 1.0);

@@ -36,9 +36,6 @@ struct CountMinParams {
   double epsilon = 0.01;
   /// Per-query failure probability.
   double delta = 0.01;
-  /// If true, uses conservative update (only raises counters that must
-  /// rise), which reduces overestimation for insert-only streams.
-  bool conservative_update = false;
 };
 
 /// CountMin sketch with optional heavy-hitter candidate tracking.
@@ -53,8 +50,8 @@ class CountMinSketch {
                  CellWidth cell_width = CellWidth::k64);
 
   /// Explicit geometry: depth rows x width counters.
-  CountMinSketch(int depth, std::uint64_t width, bool conservative_update,
-                 std::uint64_t seed, CellWidth cell_width = CellWidth::k64);
+  CountMinSketch(int depth, std::uint64_t width, std::uint64_t seed,
+                 CellWidth cell_width = CellWidth::k64);
 
   /// Adds `count` occurrences of `item`.
   void Update(item_t item, count_t count = 1) {
@@ -83,10 +80,9 @@ class CountMinSketch {
   count_t Estimate(const PrehashedItem& ph) const { return table_.Min(ph); }
 
   /// Merges a sketch built with the same geometry and seed; afterwards this
-  /// sketch summarizes the concatenation of both streams. Merging standard
-  /// (non-conservative) sketches is exact; conservative-update sketches
-  /// merge by counter-wise max-sum and may further overestimate. Cell
-  /// widths may differ: this sketch promotes to the wider side.
+  /// sketch summarizes the concatenation of both streams. Counters add, so
+  /// the merge is exact. Cell widths may differ: this sketch promotes to
+  /// the wider side.
   /// Decayed merge: with `weight` in (0, 1), every counter of `other`
   /// contributes `round(weight * counter)` (CountMin is linear, so the
   /// result is the sketch of the weight-scaled stream up to rounding).
@@ -123,7 +119,6 @@ class CountMinSketch {
  private:
   int depth_;
   std::uint64_t width_;
-  bool conservative_update_;
   std::uint64_t seed_;
   CounterTable<count_t> table_;
   count_t total_ = 0;

@@ -38,7 +38,7 @@
 ///    `Update(cols.items[i])`: counter-array sketches derive their per-row
 ///    buckets from the hash column via RemixHash (the same derivation their
 ///    scalar `Update` performs internally) through the SIMD row kernels,
-///    while map/heap/reservoir summaries fall back to
+///    while map and heap summaries fall back to
 ///    `UpdatePrehashedColsByLoop`. Summaries that take weighted ingest
 ///    (the F2/entropy/heavy-hitter estimators and the Monitor) add a third
 ///    parameter `count_t weight = 1`: each element then carries `weight`
@@ -60,7 +60,7 @@
 ///    `ScaleCounter(counter, weight)`. Weight 1 is the exact merge, and
 ///    the counter-add loops run their plain add there. The frequency-
 ///    insensitive and non-linear summaries (KMV, HyperLogLog, AMS-F2,
-///    SpaceSaving, AMS entropy) keep the unweighted form.
+///    SpaceSaving) keep the unweighted form.
 ///  - `bool MergeCompatibleWith(const S& other) const` — true exactly when
 ///    `Merge(other)` would succeed, checked all the way down through
 ///    nested summaries. This is the graceful form of the Merge
@@ -246,8 +246,8 @@ inline std::optional<count_t> CountMapMass(const CountMap& counts) {
 
 /// Default `UpdatePrehashed` body: replays scalar `Update(item)` over the
 /// item column, so the result is bit-identical to the per-item path.
-/// Summaries whose per-item work never consumes the prehash (hash maps,
-/// heaps, reservoirs) delegate to this; counter-array sketches override
+/// Summaries whose per-item work never consumes the prehash (hash maps and
+/// heaps) delegate to this; counter-array sketches override
 /// with loops that derive buckets from the hash column directly.
 template <typename S>
 inline void UpdatePrehashedColsByLoop(S& summary, PrehashedColumns cols,

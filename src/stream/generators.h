@@ -10,9 +10,9 @@
 
 /// \file generators.h
 /// Synthetic workload generators. These stand in for the NetFlow-style
-/// packet streams motivating the paper (see DESIGN.md §3.4): items are flow
-/// identifiers, and skewed (Zipf) flow-size distributions are the standard
-/// model in the cited measurement literature [17, 18, 22].
+/// packet streams motivating the paper: items are flow identifiers, and
+/// skewed (Zipf) flow-size distributions are the standard model in the
+/// cited measurement literature [17, 18, 22].
 
 namespace substream {
 

@@ -17,24 +17,4 @@ Stream BernoulliSampler::Sample(const Stream& original) {
   return sampled;
 }
 
-DeterministicSampler::DeterministicSampler(std::uint64_t every,
-                                           std::uint64_t phase)
-    : every_(every), position_(phase % every) {
-  SUBSTREAM_CHECK(every >= 1);
-}
-
-bool DeterministicSampler::Keep() {
-  position_ = (position_ + 1) % every_;
-  return position_ == 0;
-}
-
-Stream DeterministicSampler::Sample(const Stream& original) {
-  Stream sampled;
-  sampled.reserve(original.size() / every_ + 1);
-  for (item_t a : original) {
-    if (Keep()) sampled.push_back(a);
-  }
-  return sampled;
-}
-
 }  // namespace substream

@@ -7,13 +7,11 @@
 #include "util/random.h"
 
 /// \file samplers.h
-/// The sub-sampling models of Section 1.1 / Related Work.
+/// The sub-sampling model of Section 1.1.
 ///
 /// BernoulliSampler is the paper's model (and "Randomly Sampled NetFlow"
 /// [9]): each element of P survives independently with probability p,
-/// producing L. DeterministicSampler is the 1-out-of-N variant mentioned
-/// under the sampled-NetFlow umbrella [23]; it is provided as a baseline and
-/// to demonstrate where the independence assumption matters.
+/// producing L.
 
 namespace substream {
 
@@ -36,24 +34,6 @@ class BernoulliSampler {
  private:
   double p_;
   Rng rng_;
-};
-
-/// Deterministic 1-in-N sampler: keeps elements at positions N, 2N, 3N, ...
-/// (phase configurable). Corresponds to deterministic sampled NetFlow.
-class DeterministicSampler {
- public:
-  explicit DeterministicSampler(std::uint64_t every, std::uint64_t phase = 0);
-
-  bool Keep();
-
-  Stream Sample(const Stream& original);
-
-  /// Effective sampling probability 1/N.
-  double p() const { return 1.0 / static_cast<double>(every_); }
-
- private:
-  std::uint64_t every_;
-  std::uint64_t position_;
 };
 
 }  // namespace substream

@@ -15,7 +15,7 @@ TEST(CountMinTest, NeverUnderestimates) {
   ZipfGenerator g(1000, 1.2, 1);
   Stream s = Materialize(g, 50000);
   FrequencyTable exact = ExactStats(s);
-  CountMinSketch cm(CountMinParams{0.005, 0.01, false}, 2);
+  CountMinSketch cm(CountMinParams{0.005, 0.01}, 2);
   for (item_t a : s) cm.Update(a);
   for (const auto& [item, f] : exact.counts()) {
     EXPECT_GE(cm.Estimate(item), f) << "item " << item;
@@ -27,7 +27,7 @@ TEST(CountMinTest, ErrorWithinEpsilonF1) {
   Stream s = Materialize(g, 50000);
   FrequencyTable exact = ExactStats(s);
   const double eps = 0.005;
-  CountMinSketch cm(CountMinParams{eps, 0.01, false}, 4);
+  CountMinSketch cm(CountMinParams{eps, 0.01}, 4);
   for (item_t a : s) cm.Update(a);
   const double bound = eps * static_cast<double>(s.size());
   int violations = 0;
@@ -47,42 +47,22 @@ TEST(CountMinTest, ExactWhenWidthExceedsUniverse) {
   UniformGenerator g(20, 5);
   Stream s = Materialize(g, 2000);
   FrequencyTable exact = ExactStats(s);
-  CountMinSketch cm(8, 4096, false, 6);
+  CountMinSketch cm(8, 4096, 6);
   for (item_t a : s) cm.Update(a);
   for (const auto& [item, f] : exact.counts()) {
     EXPECT_EQ(cm.Estimate(item), f);
   }
 }
 
-TEST(CountMinTest, ConservativeUpdateTightens) {
-  ZipfGenerator g(500, 1.1, 7);
-  Stream s = Materialize(g, 30000);
-  CountMinSketch standard(4, 256, false, 8);
-  CountMinSketch conservative(4, 256, true, 8);
-  for (item_t a : s) {
-    standard.Update(a);
-    conservative.Update(a);
-  }
-  FrequencyTable exact = ExactStats(s);
-  double standard_err = 0.0, conservative_err = 0.0;
-  for (const auto& [item, f] : exact.counts()) {
-    standard_err += static_cast<double>(standard.Estimate(item) - f);
-    conservative_err += static_cast<double>(conservative.Estimate(item) - f);
-    // Conservative update still never underestimates.
-    EXPECT_GE(conservative.Estimate(item), f);
-  }
-  EXPECT_LE(conservative_err, standard_err);
-}
-
 TEST(CountMinTest, TotalCountTracksUpdates) {
-  CountMinSketch cm(3, 64, false, 9);
+  CountMinSketch cm(3, 64, 9);
   cm.Update(1);
   cm.Update(2, 5);
   EXPECT_EQ(cm.TotalCount(), 6u);
 }
 
 TEST(CountMinTest, WeightedUpdates) {
-  CountMinSketch cm(5, 1024, false, 10);
+  CountMinSketch cm(5, 1024, 10);
   cm.Update(7, 100);
   cm.Update(8, 3);
   EXPECT_GE(cm.Estimate(7), 100u);
@@ -90,26 +70,11 @@ TEST(CountMinTest, WeightedUpdates) {
 }
 
 TEST(CountMinTest, GeometryFromParams) {
-  CountMinSketch cm(CountMinParams{0.01, 0.05, false}, 11);
+  CountMinSketch cm(CountMinParams{0.01, 0.05}, 11);
   EXPECT_GE(cm.width(), static_cast<std::uint64_t>(2.718 / 0.01));
   EXPECT_GE(cm.depth(), 2);
   EXPECT_GT(cm.SpaceBytes(),
             static_cast<std::size_t>(cm.depth()) * cm.width() * 8 - 1);
-}
-
-TEST(CountMinTest, AddConservativeSaturatesNearMax) {
-  // Conservative update writes best + count; near the top of the counter
-  // domain that sum must saturate at the numeric limit instead of
-  // wrapping (a wrapped cell would *underestimate*, breaking the CountMin
-  // one-sided error guarantee).
-  CountMinSketch cm(3, 64, /*conservative_update=*/true, 9);
-  const count_t near_max = std::numeric_limits<count_t>::max() - 10;
-  cm.Update(42, near_max);
-  cm.Update(42, 100);
-  EXPECT_EQ(cm.Estimate(42), std::numeric_limits<count_t>::max());
-  // A later small update must keep the cell pinned, not wrap it.
-  cm.Update(42, 1);
-  EXPECT_EQ(cm.Estimate(42), std::numeric_limits<count_t>::max());
 }
 
 TEST(CountMinTest, DecayedMergeClampsNearMaxCells) {
@@ -118,8 +83,8 @@ TEST(CountMinTest, DecayedMergeClampsNearMaxCells) {
   // values outside the long-long range; the scaled value must instead be
   // computed in the unsigned domain and clamped. 0.75 * (2^64) is exactly
   // representable, so the expected counter is exact.
-  CountMinSketch a(2, 64, false, 9);
-  CountMinSketch b(2, 64, false, 9);
+  CountMinSketch a(2, 64, 9);
+  CountMinSketch b(2, 64, 9);
   b.Update(7, std::numeric_limits<count_t>::max() - 3);
   a.Merge(b, 0.75);
   EXPECT_EQ(a.Estimate(7), 13835058055282163712ULL);  // 3 * 2^62
@@ -138,8 +103,8 @@ TEST(CountMinTest, DecayedMergeClampsNearMaxCells) {
             std::numeric_limits<std::int64_t>::max());
   EXPECT_EQ(ScaleCounter(std::numeric_limits<count_t>::max(), 1.0),
             std::numeric_limits<count_t>::max());
-  CountMinSketch c(2, 64, false, 9);
-  CountMinSketch d(2, 64, false, 9);
+  CountMinSketch c(2, 64, 9);
+  CountMinSketch d(2, 64, 9);
   d.Update(7, odd);
   c.Merge(d, 1.0);
   EXPECT_EQ(c.Estimate(7), odd);

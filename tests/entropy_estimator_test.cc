@@ -16,7 +16,7 @@ namespace {
 EntropyResult RunEntropy(const Stream& original, const EntropyParams& params,
                          std::uint64_t seed) {
   BernoulliSampler sampler(params.p, seed);
-  EntropyEstimator estimator(params, seed + 1);
+  EntropyEstimator estimator(params);
   for (item_t a : original) {
     if (sampler.Keep()) estimator.Update(a);
   }
@@ -35,8 +35,7 @@ TEST(EntropyEstimatorTest, ExactAtPEqualOne) {
   Stream s = Materialize(g, 50000);
   EntropyParams params;
   params.p = 1.0;
-  params.backend = EntropyBackend::kMle;
-  EntropyEstimator est(params, 2);
+  EntropyEstimator est(params);
   for (item_t a : s) est.Update(a);
   EXPECT_NEAR(est.Estimate().entropy, ExactStats(s).Entropy(), 1e-9);
 }
@@ -55,7 +54,6 @@ TEST_P(EntropyApproxSweepTest, ConstantFactorAboveThreshold) {
   EntropyParams params;
   params.p = p;
   params.n_hint = static_cast<double>(s.size());
-  params.backend = EntropyBackend::kMle;
   const EntropyResult result = RunEntropy(s, params, 17);
   ASSERT_GT(truth, 4.0 * EntropyEstimator::ValidityThreshold(
                              p, static_cast<double>(s.size())));
@@ -97,36 +95,11 @@ TEST(EntropyEstimatorTest, LowEntropyStreamUnreliable) {
   EXPECT_DOUBLE_EQ(low.entropy, 0.0);
 }
 
-TEST(EntropyEstimatorTest, AmsBackendAgreesWithMle) {
-  UniformGenerator g(2048, 8);
-  Stream s = Materialize(g, 100000);
-  EntropyParams mle_params;
-  mle_params.p = 0.5;
-  mle_params.backend = EntropyBackend::kMle;
-  EntropyParams ams_params = mle_params;
-  ams_params.backend = EntropyBackend::kAmsSketch;
-  ams_params.epsilon = 0.15;
-  const EntropyResult a = RunEntropy(s, mle_params, 9);
-  const EntropyResult b = RunEntropy(s, ams_params, 9);
-  EXPECT_TRUE(WithinFactor(b.entropy, a.entropy, 1.3))
-      << "mle=" << a.entropy << " ams=" << b.entropy;
-}
-
-TEST(EntropyEstimatorTest, MillerMadowBackendRuns) {
-  ZipfGenerator g(500, 1.2, 10);
-  Stream s = Materialize(g, 20000);
-  EntropyParams params;
-  params.p = 0.5;
-  params.backend = EntropyBackend::kMillerMadow;
-  const EntropyResult result = RunEntropy(s, params, 11);
-  EXPECT_GT(result.entropy, 0.0);
-}
-
 TEST(EntropyEstimatorTest, NHintDefaultsToScaledLength) {
   EntropyParams params;
   params.p = 0.25;
   params.n_hint = 0.0;
-  EntropyEstimator est(params, 12);
+  EntropyEstimator est(params);
   for (int i = 0; i < 1000; ++i) est.Update(static_cast<item_t>(i % 10));
   const EntropyResult result = est.Estimate();
   // n inferred as 1000 / 0.25 = 4000; threshold = p^-1/2 * 4000^-1/6.

@@ -93,15 +93,7 @@ MonitorConfig SmallMonitorConfig() {
 
 TEST(IngestEquivalenceTest, CountMinSketch) {
   ExpectPathEquivalence([] {
-    return CountMinSketch(/*depth=*/4, /*width=*/512,
-                          /*conservative_update=*/false, /*seed=*/7);
-  });
-}
-
-TEST(IngestEquivalenceTest, CountMinSketchConservative) {
-  ExpectPathEquivalence([] {
-    return CountMinSketch(/*depth=*/4, /*width=*/512,
-                          /*conservative_update=*/true, /*seed=*/7);
+    return CountMinSketch(/*depth=*/4, /*width=*/512, /*seed=*/7);
   });
 }
 
@@ -112,8 +104,7 @@ TEST(IngestEquivalenceTest, CountMinCompactCells) {
   // so u8 and u16 tables spill mid-stream on every path).
   for (CellWidth cw : {CellWidth::k8, CellWidth::k16, CellWidth::k32}) {
     ExpectPathEquivalence([cw] {
-      return CountMinSketch(/*depth=*/4, /*width=*/512,
-                            /*conservative_update=*/false, /*seed=*/7, cw);
+      return CountMinSketch(/*depth=*/4, /*width=*/512, /*seed=*/7, cw);
     });
   }
 }
@@ -132,10 +123,10 @@ TEST(IngestEquivalenceTest, CompactCellEstimatesMatchWide) {
   // and seed — not merely close. The Zipf head crosses the u8 saturation
   // point thousands of times over, so this exercises deep level chains.
   const Stream& s = TestStream();
-  CountMinSketch wide(4, 512, false, 7);
+  CountMinSketch wide(4, 512, 7);
   FeedItems(wide, s.data(), s.size());
   for (CellWidth cw : {CellWidth::k8, CellWidth::k16, CellWidth::k32}) {
-    CountMinSketch narrow(4, 512, false, 7, cw);
+    CountMinSketch narrow(4, 512, 7, cw);
     FeedItems(narrow, s.data(), s.size());
     for (item_t x = 0; x < 512; ++x) {
       ASSERT_EQ(narrow.Estimate(x), wide.Estimate(x))
@@ -180,13 +171,6 @@ TEST(IngestEquivalenceTest, KmvSketch) {
 
 TEST(IngestEquivalenceTest, EntropyMleEstimator) {
   ExpectPathEquivalence([] { return EntropyMleEstimator(); });
-}
-
-TEST(IngestEquivalenceTest, AmsEntropySketch) {
-  // RNG-driven reservoir: byte equality also pins that all three paths
-  // consume the PRNG sequence identically.
-  ExpectPathEquivalence(
-      [] { return AmsEntropySketch::WithGeometry(5, 64, 29); });
 }
 
 TEST(IngestEquivalenceTest, AmsF2Sketch) {
@@ -239,17 +223,12 @@ TEST(IngestEquivalenceTest, FkEstimatorSketchBackend) {
   });
 }
 
-TEST(IngestEquivalenceTest, EntropyEstimatorBothBackends) {
-  for (EntropyBackend backend :
-       {EntropyBackend::kMle, EntropyBackend::kAmsSketch}) {
-    ExpectPathEquivalence([backend] {
-      EntropyParams params;
-      params.p = 0.5;
-      params.backend = backend;
-      params.epsilon = 0.3;
-      return EntropyEstimator(params, 47);
-    });
-  }
+TEST(IngestEquivalenceTest, EntropyEstimator) {
+  ExpectPathEquivalence([] {
+    EntropyParams params;
+    params.p = 0.5;
+    return EntropyEstimator(params);
+  });
 }
 
 TEST(IngestEquivalenceTest, F1HeavyHitterEstimator) {

@@ -34,8 +34,7 @@ TwoStreams MakeStreams() {
 
 TEST(MergeTest, CountMinEqualsConcatenation) {
   TwoStreams t = MakeStreams();
-  CountMinSketch sa(5, 1024, false, 7), sb(5, 1024, false, 7),
-      sboth(5, 1024, false, 7);
+  CountMinSketch sa(5, 1024, 7), sb(5, 1024, 7), sboth(5, 1024, 7);
   for (item_t x : t.a) sa.Update(x);
   for (item_t x : t.b) sb.Update(x);
   for (item_t x : t.both) sboth.Update(x);
@@ -282,8 +281,7 @@ using MergePreconditionDeathTest = ::testing::Test;
 TEST(MergePreconditionDeathTest, MismatchedGeometryOrSeedAborts) {
   // Merging sketches with different geometry or seed must fail loudly
   // (SUBSTREAM_CHECK abort), never silently corrupt estimates.
-  CountMinSketch cm_a(5, 1024, false, 7), cm_seed(5, 1024, false, 8),
-      cm_width(5, 512, false, 7);
+  CountMinSketch cm_a(5, 1024, 7), cm_seed(5, 1024, 8), cm_width(5, 512, 7);
   EXPECT_DEATH(cm_a.Merge(cm_seed), "incompatible CountMin");
   EXPECT_DEATH(cm_a.Merge(cm_width), "incompatible CountMin");
 

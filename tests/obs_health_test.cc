@@ -30,8 +30,7 @@ const obs::SummaryHealth* FindSummary(const obs::HealthReport& report,
 }
 
 TEST(SketchHealthTest, CountMinHandComputedGeometryAndBounds) {
-  CountMinSketch sketch(/*depth=*/2, /*width=*/8, /*conservative_update=*/false,
-                        /*seed=*/42);
+  CountMinSketch sketch(/*depth=*/2, /*width=*/8, /*seed=*/42);
   sketch.Update(123);
   const obs::SummaryHealth h = sketch.Health();
   EXPECT_EQ(h.kind, "countmin");
@@ -50,7 +49,7 @@ TEST(SketchHealthTest, CountMinHandComputedGeometryAndBounds) {
 }
 
 TEST(SketchHealthTest, SpillPolicyCountsPromotedCells) {
-  CountMinSketch sketch(2, 8, false, 42, CellWidth::k8);
+  CountMinSketch sketch(2, 8, 42, CellWidth::k8);
   sketch.Update(123, 300);  // exceeds a u8 cell; both rows must spill
   // Spill preserves exact values.
   EXPECT_EQ(sketch.Estimate(123), 300);

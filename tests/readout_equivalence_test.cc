@@ -6,9 +6,9 @@
 /// it walks the whole source again and re-estimates every candidate. Both
 /// must return the same LevelSetEstimate fields, compared with ==.
 ///
-/// EntropyMleEstimator::Readout walks the count map once for the plug-in,
-/// Miller–Madow and H_pn values; the reference is the separate walks. Both
-/// feed their compensated sums in map order, so they must agree bitwise.
+/// EntropyMleEstimator::Readout walks the count map once for the plug-in
+/// and H_pn values; the reference is the separate walks. Both feed their
+/// compensated sums in map order, so they must agree bitwise.
 ///
 /// The references read the summaries' state off their wire records, so
 /// they need no access to private members.
@@ -342,15 +342,6 @@ double ReferencePlugIn(const std::unordered_map<item_t, count_t>& counts,
   return sum.Value();
 }
 
-double ReferenceMillerMadow(const std::unordered_map<item_t, count_t>& counts,
-                            count_t total) {
-  if (total == 0) return 0.0;
-  const double correction =
-      (static_cast<double>(counts.size()) - 1.0) /
-      (2.0 * static_cast<double>(total) * std::log(2.0));
-  return ReferencePlugIn(counts, total) + correction;
-}
-
 double ReferenceHpn(const std::unordered_map<item_t, count_t>& counts,
                     double expected_length) {
   KahanSum sum;
@@ -370,18 +361,18 @@ struct DecodedEntropy {
   std::unordered_map<item_t, count_t> counts;
 };
 
-/// Decodes an EntropyEstimator record (MLE backends). Decoding the same
-/// bytes with EntropyEstimator::Deserialize builds its count map by the
-/// same insertions, so both maps iterate in the same order.
+/// Decodes an EntropyEstimator record. Decoding the same bytes with
+/// EntropyEstimator::Deserialize builds its count map by the same
+/// insertions, so both maps iterate in the same order.
 DecodedEntropy DecodeEntropy(const std::vector<std::uint8_t>& bytes) {
   serde::Reader in(bytes);
   EXPECT_TRUE(in.ExpectRecord(serde::TypeTag::kEntropyEstimator));
   DecodedEntropy d;
   d.params.p = in.F64();
   d.params.n_hint = in.F64();
-  d.params.backend = static_cast<EntropyBackend>(in.U8());
-  d.params.epsilon = in.F64();
-  d.params.delta = in.F64();
+  in.U8();   // retired backend byte
+  in.F64();  // retired AMS accuracy targets
+  in.F64();
   d.sampled_length = in.Varint();
   EXPECT_TRUE(in.ExpectRecord(serde::TypeTag::kEntropyMleEstimator));
   d.total = in.Varint();
@@ -390,17 +381,14 @@ DecodedEntropy DecodeEntropy(const std::vector<std::uint8_t>& bytes) {
   return d;
 }
 
-/// EntropyEstimator::Estimate as it read the MLE backend with separate
-/// walks.
+/// EntropyEstimator::Estimate as it read the count map with separate walks.
 EntropyResult ReferenceEstimate(const DecodedEntropy& d) {
   EntropyResult result;
   const double n = d.params.n_hint > 0.0
                        ? d.params.n_hint
                        : static_cast<double>(d.sampled_length) / d.params.p;
   result.threshold = EntropyEstimator::ValidityThreshold(d.params.p, n);
-  result.entropy = d.params.backend == EntropyBackend::kMillerMadow
-                       ? ReferenceMillerMadow(d.counts, d.total)
-                       : ReferencePlugIn(d.counts, d.total);
+  result.entropy = ReferencePlugIn(d.counts, d.total);
   result.entropy_hpn =
       n > 0.0 ? ReferenceHpn(d.counts, d.params.p * n) : result.entropy;
   result.reliable = result.entropy > 4.0 * result.threshold;
@@ -438,38 +426,31 @@ void ExpectSameEntropy(const EntropyEstimator& estimator) {
                         1.02 * static_cast<double>(d.total), 0.0}) {
     const EntropyMleReadout read = mle->Readout(length);
     EXPECT_EQ(read.plug_in, ReferencePlugIn(d.counts, d.total));
-    EXPECT_EQ(read.miller_madow, ReferenceMillerMadow(d.counts, d.total));
     EXPECT_EQ(read.hpn, length > 0.0 ? ReferenceHpn(d.counts, length) : 0.0);
     EXPECT_EQ(mle->Estimate(), read.plug_in);
   }
 }
 
-TEST(EntropyReadoutTest, BackendsHintsMergesAndEmpty) {
+TEST(EntropyReadoutTest, HintsMergesAndEmpty) {
   const Stream a = Zipf(1 << 16, 1.1, 20, 50000);
   const Stream b = Zipf(1 << 22, 0.7, 21, 50000);
-  for (EntropyBackend backend :
-       {EntropyBackend::kMle, EntropyBackend::kMillerMadow}) {
-    for (double n_hint : {0.0, 400000.0}) {
-      EntropyParams params;
-      params.p = 0.25;
-      params.n_hint = n_hint;
-      params.backend = backend;
-      SCOPED_TRACE(testing::Message()
-                   << "backend " << static_cast<int>(backend) << " n_hint "
-                   << n_hint);
+  for (double n_hint : {0.0, 400000.0}) {
+    EntropyParams params;
+    params.p = 0.25;
+    params.n_hint = n_hint;
+    SCOPED_TRACE(testing::Message() << "n_hint " << n_hint);
 
-      const EntropyEstimator empty(params, 22);
-      ExpectSameEntropy(empty);
+    const EntropyEstimator empty(params);
+    ExpectSameEntropy(empty);
 
-      EntropyEstimator fed(params, 22);
-      FeedItems(fed, a.data(), a.size());
-      ExpectSameEntropy(fed);
+    EntropyEstimator fed(params);
+    FeedItems(fed, a.data(), a.size());
+    ExpectSameEntropy(fed);
 
-      EntropyEstimator other(params, 22);
-      FeedItems(other, b.data(), b.size());
-      fed.Merge(other, 0.5);
-      ExpectSameEntropy(fed);
-    }
+    EntropyEstimator other(params);
+    FeedItems(other, b.data(), b.size());
+    fed.Merge(other, 0.5);
+    ExpectSameEntropy(fed);
   }
 }
 

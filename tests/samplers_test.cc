@@ -72,34 +72,5 @@ TEST(BernoulliSamplerTest, StreamingKeepMatchesBatch) {
   EXPECT_EQ(actual, expected);
 }
 
-TEST(DeterministicSamplerTest, ExactSpacing) {
-  DistinctGenerator g;
-  Stream p = Materialize(g, 100);
-  DeterministicSampler sampler(10);
-  Stream l = sampler.Sample(p);
-  ASSERT_EQ(l.size(), 10u);
-  for (std::size_t i = 0; i < l.size(); ++i) {
-    EXPECT_EQ(l[i], 10 * (i + 1));
-  }
-  EXPECT_DOUBLE_EQ(sampler.p(), 0.1);
-}
-
-TEST(DeterministicSamplerTest, PhaseShifts) {
-  DistinctGenerator g;
-  Stream p = Materialize(g, 20);
-  DeterministicSampler sampler(10, 5);
-  Stream l = sampler.Sample(p);
-  ASSERT_EQ(l.size(), 2u);
-  EXPECT_EQ(l[0], 5u);
-  EXPECT_EQ(l[1], 15u);
-}
-
-TEST(DeterministicSamplerTest, EveryOneKeepsAll) {
-  DistinctGenerator g;
-  Stream p = Materialize(g, 50);
-  DeterministicSampler sampler(1);
-  EXPECT_EQ(sampler.Sample(p), p);
-}
-
 }  // namespace
 }  // namespace substream

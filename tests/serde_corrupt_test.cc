@@ -127,7 +127,7 @@ void FeedAll(S& summary) {
 }
 
 TEST(SerdeCorruptTest, CountMinSketch) {
-  CountMinSketch sketch(4, 64, false, 3);
+  CountMinSketch sketch(4, 64, 3);
   FeedAll(sketch);
   RunAll(MakeDecoder<CountMinSketch>(), Encode(sketch), 1);
 }
@@ -178,12 +178,6 @@ TEST(SerdeCorruptTest, EntropyMleEstimator) {
   EntropyMleEstimator estimator;
   FeedAll(estimator);
   RunAll(MakeDecoder<EntropyMleEstimator>(), Encode(estimator), 10);
-}
-
-TEST(SerdeCorruptTest, AmsEntropySketch) {
-  AmsEntropySketch sketch = AmsEntropySketch::WithGeometry(3, 8, 13);
-  FeedAll(sketch);
-  RunAll(MakeDecoder<AmsEntropySketch>(), Encode(sketch), 11);
 }
 
 TEST(SerdeCorruptTest, IndykWoodruffEstimator) {
@@ -276,15 +270,15 @@ TEST(SerdeCorruptTest, ZeroCandidateCapacityIsRejected) {
 // The counter-table flags byte after the cell-width byte is reserved: the
 // writers emit 0 and the decoders reject every other value.
 TEST(SerdeCorruptTest, NonzeroStorageFlagsAreRejected) {
-  CountMinSketch cm_sketch(2, 8, false, 5, CellWidth::k8);
+  CountMinSketch cm_sketch(2, 8, 5, CellWidth::k8);
   for (int i = 0; i < 300; ++i) cm_sketch.Update(1);
   CountSketch cs_sketch(3, 64, 5);
   FeedAll(cs_sketch);
   Bytes cm = Encode(cm_sketch);
   Bytes cs = Encode(cs_sketch);
-  // CountMin: tag, version, depth, width, conservative flag, u64 seed,
-  // then cell width (k8 = 0) and flags. CountSketch has no conservative
-  // flag and a 64-bit base (k64 = 3).
+  // CountMin: tag, version, depth, width, retired conservative flag, u64
+  // seed, then cell width (k8 = 0) and flags. CountSketch has no
+  // conservative flag and a 64-bit base (k64 = 3).
   constexpr std::size_t kCmFlags = 14;
   constexpr std::size_t kCsFlags = 13;
   ASSERT_EQ(cm[kCmFlags - 1], 0);
@@ -300,6 +294,55 @@ TEST(SerdeCorruptTest, NonzeroStorageFlagsAreRejected) {
     EXPECT_FALSE(MakeDecoder<CountMinSketch>()(cm));
     EXPECT_FALSE(MakeDecoder<CountSketch>()(cs));
   }
+}
+
+// Retired fields keep their place in the record but carry one value each:
+// the EntropyEstimator's backend byte (0, the plug-in map) and its two AMS
+// accuracy targets (0.2 and 0.05), and CountMin's conservative-update flag
+// (0). A record holding anything else there came from a retired mode and
+// must not decode.
+TEST(SerdeCorruptTest, EntropyEstimatorRetiredFieldsAreRejected) {
+  EntropyParams params;
+  params.p = 0.5;
+  EntropyEstimator estimator(params);
+  FeedAll(estimator);
+  const Bytes valid = Encode(estimator);
+  // tag, version, f64 p, f64 n_hint, then the backend byte and the two
+  // retired f64s.
+  constexpr std::size_t kBackend = 18;
+  constexpr std::size_t kEpsilon = kBackend + 1;
+  constexpr std::size_t kDelta = kEpsilon + 8;
+  ASSERT_EQ(valid[kBackend], 0);
+  {
+    serde::Reader reader(valid.data() + kEpsilon, 16);
+    ASSERT_EQ(reader.F64(), 0.2);
+    ASSERT_EQ(reader.F64(), 0.05);
+  }
+  EXPECT_TRUE(MakeDecoder<EntropyEstimator>()(valid));
+  for (std::uint8_t backend : {1, 2}) {
+    SCOPED_TRACE(static_cast<int>(backend));
+    Bytes bytes = valid;
+    bytes[kBackend] = backend;
+    EXPECT_FALSE(MakeDecoder<EntropyEstimator>()(bytes));
+  }
+  for (std::size_t offset : {kEpsilon, kDelta}) {
+    SCOPED_TRACE(offset);
+    Bytes bytes = valid;
+    bytes[offset] ^= 1;
+    EXPECT_FALSE(MakeDecoder<EntropyEstimator>()(bytes));
+  }
+}
+
+TEST(SerdeCorruptTest, CountMinConservativeFlagIsRejected) {
+  CountMinSketch sketch(2, 8, 5);
+  FeedAll(sketch);
+  Bytes bytes = Encode(sketch);
+  // tag, version, depth, width, then the conservative flag.
+  constexpr std::size_t kConservative = 4;
+  ASSERT_EQ(bytes[kConservative], 0);
+  EXPECT_TRUE(MakeDecoder<CountMinSketch>()(bytes));
+  bytes[kConservative] = 1;
+  EXPECT_FALSE(MakeDecoder<CountMinSketch>()(bytes));
 }
 
 TEST(SerdeCorruptTest, F0Estimator) {
@@ -332,8 +375,7 @@ TEST(SerdeCorruptTest, FkEstimator) {
 TEST(SerdeCorruptTest, EntropyEstimator) {
   EntropyParams params;
   params.p = 0.5;
-  params.backend = EntropyBackend::kAmsSketch;
-  EntropyEstimator estimator(params, 21);
+  EntropyEstimator estimator(params);
   FeedAll(estimator);
   RunAll(MakeDecoder<EntropyEstimator>(), Encode(estimator), 15);
 }
@@ -374,7 +416,7 @@ TEST(SerdeCorruptTest, Monitor) {
 
 TEST(SerdeCorruptTest, WrongTypeTagIsRejected) {
   // A valid CountMin record must not decode as any other type.
-  CountMinSketch sketch(3, 32, false, 1);
+  CountMinSketch sketch(3, 32, 1);
   FeedAll(sketch);
   const Bytes bytes = Encode(sketch);
   EXPECT_FALSE(MakeDecoder<CountSketch>()(bytes));
@@ -383,7 +425,7 @@ TEST(SerdeCorruptTest, WrongTypeTagIsRejected) {
 }
 
 TEST(SerdeCorruptTest, UnknownFormatVersionIsRejected) {
-  CountMinSketch sketch(3, 32, false, 1);
+  CountMinSketch sketch(3, 32, 1);
   FeedAll(sketch);
   Bytes bytes = Encode(sketch);
   bytes[1] = serde::kFormatVersion + 1;  // byte 1 is the version

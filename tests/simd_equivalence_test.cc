@@ -189,17 +189,7 @@ TEST(SimdEquivalenceTest, EnvOverrideParsing) {
 
 TEST(SimdEquivalenceTest, CountMinSketch) {
   ExpectDispatchEquivalence([] {
-    return CountMinSketch(/*depth=*/4, /*width=*/512,
-                          /*conservative_update=*/false, /*seed=*/7);
-  });
-}
-
-TEST(SimdEquivalenceTest, CountMinSketchConservative) {
-  // AddConservative derives its indices once and reuses them for the read
-  // and write passes (scalar at every level, like all per-item paths).
-  ExpectDispatchEquivalence([] {
-    return CountMinSketch(/*depth=*/4, /*width=*/512,
-                          /*conservative_update=*/true, /*seed=*/7);
+    return CountMinSketch(/*depth=*/4, /*width=*/512, /*seed=*/7);
   });
 }
 
@@ -208,8 +198,7 @@ TEST(SimdEquivalenceTest, CountMinOddGeometries) {
   // fast-range path with a "random" reduction).
   for (int depth : {1, 3, 4, 5, 8, 9}) {
     ExpectDispatchEquivalence([depth] {
-      return CountMinSketch(depth, /*width=*/389,
-                            /*conservative_update=*/false, /*seed=*/101);
+      return CountMinSketch(depth, /*width=*/389, /*seed=*/101);
     });
   }
 }
@@ -221,8 +210,7 @@ TEST(SimdEquivalenceTest, CountMinCellWidthMatrix) {
                        CellWidth::k64}) {
     SCOPED_TRACE(testing::Message() << "cell_bits=" << CellBits(cw));
     ExpectDispatchEquivalence([cw] {
-      return CountMinSketch(/*depth=*/4, /*width=*/512,
-                            /*conservative_update=*/false, /*seed=*/7, cw);
+      return CountMinSketch(/*depth=*/4, /*width=*/512, /*seed=*/7, cw);
     });
   }
 }
@@ -245,8 +233,7 @@ TEST(SimdEquivalenceTest, CountMinCellWidthNonPow2Width) {
   // the narrow typed loops and the vector bucket derivation.
   for (CellWidth cw : {CellWidth::k8, CellWidth::k16, CellWidth::k32}) {
     ExpectDispatchEquivalence([cw] {
-      return CountMinSketch(/*depth=*/3, /*width=*/389,
-                            /*conservative_update=*/false, /*seed=*/101, cw);
+      return CountMinSketch(/*depth=*/3, /*width=*/389, /*seed=*/101, cw);
     });
   }
 }
@@ -269,15 +256,13 @@ TEST(SimdEquivalenceTest, CountMinSpillBoundary) {
                    << "cell_bits=" << CellBits(c.cw) << " reps=" << reps);
       const Stream s = SpillBoundaryStream(reps);
       auto make = [&] {
-        return CountMinSketch(/*depth=*/2, /*width=*/512,
-                              /*conservative_update=*/false, /*seed=*/7,
-                              c.cw);
+        return CountMinSketch(/*depth=*/2, /*width=*/512, /*seed=*/7, c.cw);
       };
       ExpectDispatchEquivalenceOnStream(make, s);
       DispatchGuard guard;
       kernels::SetActive(simd::Best());
       auto narrow = make();
-      CountMinSketch wide(2, 512, false, 7);
+      CountMinSketch wide(2, 512, 7);
       FeedItems(narrow, s.data(), s.size());
       FeedItems(wide, s.data(), s.size());
       for (item_t x = 1; x < 64; ++x) {
@@ -391,11 +376,6 @@ TEST(SimdEquivalenceTest, EntropyMleEstimator) {
   ExpectDispatchEquivalence([] { return EntropyMleEstimator(); });
 }
 
-TEST(SimdEquivalenceTest, AmsEntropySketch) {
-  ExpectDispatchEquivalence(
-      [] { return AmsEntropySketch::WithGeometry(5, 64, 29); });
-}
-
 TEST(SimdEquivalenceTest, AmsF2Sketch) {
   ExpectDispatchEquivalence(
       [] { return AmsF2Sketch::WithGeometry(5, 32, 31); });
@@ -448,17 +428,12 @@ TEST(SimdEquivalenceTest, FkEstimatorSketchBackend) {
   });
 }
 
-TEST(SimdEquivalenceTest, EntropyEstimatorBothBackends) {
-  for (EntropyBackend backend :
-       {EntropyBackend::kMle, EntropyBackend::kAmsSketch}) {
-    ExpectDispatchEquivalence([backend] {
-      EntropyParams params;
-      params.p = 0.5;
-      params.backend = backend;
-      params.epsilon = 0.3;
-      return EntropyEstimator(params, 47);
-    });
-  }
+TEST(SimdEquivalenceTest, EntropyEstimator) {
+  ExpectDispatchEquivalence([] {
+    EntropyParams params;
+    params.p = 0.5;
+    return EntropyEstimator(params);
+  });
 }
 
 TEST(SimdEquivalenceTest, F1HeavyHitterEstimator) {

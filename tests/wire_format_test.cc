@@ -34,7 +34,7 @@
 namespace substream {
 namespace {
 
-/// CountMin(2, 8, false, 5) with u8 cells after 300x item 1 and 1x item 2:
+/// CountMin(2, 8, 5) with u8 cells after 300x item 1 and 1x item 2:
 /// header carries cell_width=k8/flags=0, the saturated base cells read 0,
 /// and one u16 overflow level holds the spilled 300s.
 constexpr const char* kCompactSpillGolden =
@@ -69,7 +69,7 @@ std::string HexRecord(const S& summary) {
 }
 
 TEST(WireFormatTest, CountMinGoldenBytes) {
-  CountMinSketch cm(2, 8, false, 5);
+  CountMinSketch cm(2, 8, 5);
   for (item_t x : {1ULL, 2ULL, 3ULL, 1ULL, 2ULL, 1ULL}) cm.Update(x);
   EXPECT_EQ(HexRecord(cm),
             "010402080005000000000000000300060000000103000002000000000004"
@@ -105,7 +105,7 @@ TEST(WireFormatTest, HyperLogLogGoldenBytes) {
 TEST(WireFormatTest, TypeTagValuesArePinned) {
   // Every record starts with its tag byte, and the golden cases above pin
   // only a few tags. Pin them all, so deleting or inserting an enumerator
-  // can never shift a tag. 8 is retired and must stay unused.
+  // can never shift a tag. 8 and 11 are retired and must stay unused.
   auto tag = [](serde::TypeTag t) { return static_cast<int>(t); };
   EXPECT_EQ(tag(serde::TypeTag::kCountMinSketch), 1);
   EXPECT_EQ(tag(serde::TypeTag::kCountMinHeavyHitters), 2);
@@ -116,7 +116,6 @@ TEST(WireFormatTest, TypeTagValuesArePinned) {
   EXPECT_EQ(tag(serde::TypeTag::kKmvSketch), 7);
   EXPECT_EQ(tag(serde::TypeTag::kSpaceSaving), 9);
   EXPECT_EQ(tag(serde::TypeTag::kEntropyMleEstimator), 10);
-  EXPECT_EQ(tag(serde::TypeTag::kAmsEntropySketch), 11);
   EXPECT_EQ(tag(serde::TypeTag::kIndykWoodruffEstimator), 12);
   EXPECT_EQ(tag(serde::TypeTag::kExactLevelSets), 13);
   EXPECT_EQ(tag(serde::TypeTag::kF0Estimator), 14);
@@ -133,7 +132,7 @@ TEST(WireFormatTest, CompactCellSpillGoldenBytes) {
   // the record must carry cell_width=k8, a non-zero upper-level count, and
   // the spilled 16-bit level — pinned byte-for-byte so the level-chain
   // framing cannot drift silently.
-  CountMinSketch cm(2, 8, false, 5, CellWidth::k8);
+  CountMinSketch cm(2, 8, 5, CellWidth::k8);
   for (int i = 0; i < 300; ++i) cm.Update(1);
   cm.Update(2);
   EXPECT_EQ(HexRecord(cm), kCompactSpillGolden);
@@ -149,7 +148,7 @@ TEST(WireFormatTest, CompactCellSpillGoldenBytes) {
 
 TEST(WireFormatTest, V2RecordDecodesAsWide64) {
   // The exact v2 golden bytes this suite pinned before the compact-cell
-  // format change (CountMin(2, 8, false, 5) fed {1,2,3,1,2,1}). A v3
+  // format change (CountMin(2, 8, 5) fed {1,2,3,1,2,1}). A v3
   // decoder must keep accepting them — kMinDecodableVersion == 2 — and
   // materialize the historical layout: 64-bit cells, no overflow levels.
   const auto bytes = HexToBytes(
@@ -159,7 +158,7 @@ TEST(WireFormatTest, V2RecordDecodesAsWide64) {
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->cell_width(), CellWidth::k64);
   // Estimates agree with a live sketch fed the same stream.
-  CountMinSketch live(2, 8, false, 5);
+  CountMinSketch live(2, 8, 5);
   for (item_t x : {1ULL, 2ULL, 3ULL, 1ULL, 2ULL, 1ULL}) live.Update(x);
   for (item_t x = 0; x < 8; ++x) {
     EXPECT_EQ(decoded->Estimate(x), live.Estimate(x));
@@ -175,7 +174,7 @@ TEST(WireFormatTest, PreRefactorVersionIsRejected) {
   // decode: its counters are meaningless under the v2 prehash derivations,
   // and a silent decode would corrupt Collector merges and restored
   // checkpoints.
-  CountMinSketch cm(2, 8, false, 5);
+  CountMinSketch cm(2, 8, 5);
   for (item_t x : {1ULL, 2ULL, 3ULL}) cm.Update(x);
   serde::Writer writer;
   cm.Serialize(writer);
@@ -190,7 +189,7 @@ TEST(WireFormatTest, DecodedGoldenRecordMatchesLive) {
   // Round-trip through the golden path: decode must reproduce the live
   // sketch bit-for-bit (re-serialization is byte-identical) and agree on
   // estimates.
-  CountMinSketch cm(2, 8, false, 5);
+  CountMinSketch cm(2, 8, 5);
   for (item_t x : {1ULL, 2ULL, 3ULL, 1ULL, 2ULL, 1ULL}) cm.Update(x);
   serde::Writer writer;
   cm.Serialize(writer);
