@@ -76,11 +76,11 @@ int main(int argc, char** argv) {
       "delta<=%.2f}:\n",
       spec.budget_bytes, spec.f0.epsilon, spec.f2.epsilon, spec.f2.delta);
   std::printf(
-      "  f0 %s k=%zu | f2 %dx%llu over %d levels | hh %dx%llu | "
-      "%d-bit cells | universe 2^%d\n",
+      "  f0 %s k=%zu | f2 %dx%llu | hh %dx%llu | %d-bit cells | "
+      "universe 2^%d\n",
       plan->f0_use_hll ? "hll" : "kmv", plan->kmv_k, plan->f2_cs_depth,
-      static_cast<unsigned long long>(plan->f2_width), plan->f2_levels,
-      plan->hh_depth, static_cast<unsigned long long>(plan->hh_width),
+      static_cast<unsigned long long>(plan->f2_width), plan->hh_depth,
+      static_cast<unsigned long long>(plan->hh_width),
       CellBits(plan->cell_width),
       [](std::uint64_t u) {
         int bits = 0;

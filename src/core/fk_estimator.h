@@ -74,14 +74,13 @@ class FkEstimator {
   /// Feeds one element of the *sampled* stream L.
   void Update(item_t item);
 
-  /// Feeds `n` already-prehashed elements of L (the Monitor pipeline's
-  /// columnar entry point; the level-set CountSketches consume the shared
-  /// prehash directly), each carrying `weight` units. Weights above 1 are
-  /// the sampled-ingest form: the unbiased round(1/p) correction for
-  /// Bernoulli(p)-admitted survivors, equivalent to replaying each element
-  /// `weight` times (level-set adds are linear). The sketch backend takes
-  /// the weight on its column path; the exact backend loops per item for
-  /// weight > 1.
+  /// Feeds `n` already-prehashed elements of L (the level-set
+  /// CountSketches consume the shared prehash directly), each carrying
+  /// `weight` units. Weights above 1 are the sampled-ingest form: the
+  /// unbiased round(1/p) correction for Bernoulli(p)-admitted survivors,
+  /// equivalent to replaying each element `weight` times (level-set adds
+  /// are linear). The sketch backend loops per item; the exact backend
+  /// loops per item for weight > 1.
   void UpdatePrehashed(PrehashedColumns cols, std::size_t n,
                        count_t weight = 1);
 

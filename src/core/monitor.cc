@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/collision.h"
+#include "core/fk_estimator.h"
 #include "obs/metrics.h"
 #include "plan/compiler.h"
 #include "serde/checkpoint.h"
@@ -47,16 +49,16 @@ Monitor::Monitor(const MonitorConfig& config, std::uint64_t seed)
     f0_.emplace(params, DeriveSeed(seed, 1));
   }
   if (config_.enable_f2) {
+    SUBSTREAM_CHECK(config_.epsilon > 0.0 && config_.epsilon < 1.0);
+    SUBSTREAM_CHECK(config_.delta > 0.0 && config_.delta < 1.0);
+    // The k = 2 width of Theorem 1: 8 / (p * eps^2), at least 64, capped.
     FkParams params;
-    params.k = 2;
     params.p = config_.p;
-    params.universe = config_.universe;
     params.epsilon = config_.epsilon;
-    params.delta = config_.delta;
-    params.backend = CollisionBackend::kSketch;
     params.max_width = config_.max_f2_width;
-    params.cell_width = config_.cell_width;
-    f2_.emplace(params, DeriveSeed(seed, 2));
+    f2_.emplace(plan::LevelSetDepthFromDelta(config_.delta),
+                FkEstimator::SketchWidth(params), DeriveSeed(seed, 2),
+                config_.cell_width);
   }
   if (config_.enable_entropy) {
     EntropyParams params;
@@ -97,7 +99,15 @@ void Monitor::UpdatePrehashed(PrehashedColumns cols, std::size_t n,
   raw_updates_ += n;
   // F0 stays unweighted: set membership cannot be multiplied (see header).
   if (f0_) f0_->UpdatePrehashed(cols, n);
-  if (f2_) f2_->UpdatePrehashed(cols, n, weight);
+  if (f2_) {
+    if (weight == 1) {
+      f2_->UpdatePrehashed(cols, n);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) {
+        f2_->Update(cols.At(i), static_cast<std::int64_t>(weight));
+      }
+    }
+  }
   if (entropy_) entropy_->UpdatePrehashed(cols, n, weight);
   if (heavy_) heavy_->UpdatePrehashed(cols, n, weight);
 }
@@ -161,7 +171,18 @@ MonitorReport Monitor::Report() const {
                                 static_cast<double>(sampled_length_)
                           : 1.0;
   if (f0_) report.distinct_items = f0_->Estimate();
-  if (f2_) report.second_moment = f2_->Estimate();
+  if (f2_) {
+    // Eq. (1) at l = 2: C~_2(L) = (F2~(L) - F1(L)) / 2, unbiased by p^2,
+    // then F2 = 2 C_2 + F1. Clamped at phi~_1 (F2 >= F1 for integer
+    // frequencies), as FkEstimator::AllMoments does.
+    const double phi1 = report.scaled_length;
+    const double collisions_sampled =
+        (f2_->EstimateF2() - static_cast<double>(sampled_length_)) / 2.0;
+    const double f2 = MomentFromCollisions(
+        2, UnbiasedOriginalCollisions(collisions_sampled, config_.p, 2),
+        {phi1});
+    report.second_moment = std::max(f2, phi1);
+  }
   if (entropy_) report.entropy = entropy_->Estimate();
   if (heavy_) report.heavy_hitters = heavy_->Estimate();
   return report;
@@ -179,7 +200,11 @@ obs::HealthReport Monitor::Health() const {
   report.sampled_epsilon = plan::SampledEpsilon(report.effective_sample_rate,
                                                 config_.delta, raw_updates_);
   if (f0_) f0_->AppendHealth("f0", &report.summaries);
-  if (f2_) f2_->AppendHealth("f2", &report.summaries);
+  if (f2_) {
+    obs::SummaryHealth health = f2_->Health();
+    health.name = "f2";
+    report.summaries.push_back(std::move(health));
+  }
   if (entropy_) {
     // The entropy frequency map has no counter table to scan; report
     // identity and footprint so the summary list is complete per enabled
@@ -279,7 +304,9 @@ std::optional<Monitor> Monitor::Deserialize(serde::Reader& in) {
     plan::CanonicalizeF0Geometry(monitor.config_);
   }
   if (config.enable_f2) {
-    auto f2 = FkEstimator::Deserialize(in);
+    // A record carrying the retired FkEstimator F2 record fails here on
+    // its type tag.
+    auto f2 = CountSketch::Deserialize(in);
     if (!f2) return std::nullopt;
     monitor.f2_.emplace(std::move(*f2));
   }

@@ -7,10 +7,10 @@
 
 #include "core/entropy_estimator.h"
 #include "core/f0_estimator.h"
-#include "core/fk_estimator.h"
 #include "core/heavy_hitters.h"
 #include "obs/health.h"
 #include "plan/plan.h"
+#include "sketch/countsketch.h"
 #include "util/common.h"
 
 /// \file monitor.h
@@ -19,6 +19,11 @@
 /// NetFlow collector would instantiate per measurement window: configure the
 /// sampling rate once, feed the sampled elements, read a consolidated
 /// report about the *original* stream.
+///
+/// F2 rides one CountSketch on L. For l = 2, Algorithm 1 needs only the
+/// collision count C_2(L) = (F2(L) - F1(L)) / 2, so the sketch's row-norm
+/// F2(L) estimate supplies it exactly as Eq. (1) expects; the Indyk–Woodruff
+/// level sets (FkEstimator) are needed only for the moments k >= 3.
 ///
 /// Monitor itself satisfies the mergeable-summary contract (sketch/sketch.h):
 /// two monitors constructed with the same MonitorConfig and seed can be fed
@@ -47,7 +52,9 @@ namespace substream {
 struct MonitorConfig {
   /// Sampling probability of the observed stream (required, (0, 1]).
   double p = 1.0;
-  /// Universe size hint (sizes the F2 sketch).
+  /// Universe size hint. It sizes nothing inside the Monitor; it stays
+  /// because the wire header carries it and the planner's F0 fallback
+  /// (an unhinted plan's distinct-count guess) reads it.
   item_t universe = 1 << 20;
   /// Original stream length hint, if known (entropy threshold; 0 = infer).
   double n_hint = 0.0;
@@ -73,18 +80,18 @@ struct MonitorConfig {
   /// Heavy-hitter fraction and gap (Definition 4).
   double hh_alpha = 0.05;
   double hh_epsilon = 0.25;
-  /// Accuracy / confidence for the F2 estimator.
+  /// Accuracy / confidence for the F2 estimator: the F2 CountSketch is
+  /// 8 / (p * epsilon^2) buckets wide (at least 64) and
+  /// plan::LevelSetDepthFromDelta(delta) rows deep.
   double epsilon = 0.25;
   double delta = 0.05;
-  /// Cap on the F2 level-set sketch width (0 = analytic width). The
-  /// default is derived by the planner — the budget-capped analytic width
-  /// for the default geometry under the default monitor budget — and is
-  /// static_asserted to equal the historical 1 << 13 constant.
+  /// Cap on the width of the one F2 CountSketch (0 = analytic width);
+  /// defaults to plan::kDefaultF2WidthCap, 1 << 13.
   std::uint64_t max_f2_width = plan::kDefaultF2WidthCap;
-  /// Physical cell width of the counter-array sketches (F2 level sets and
-  /// heavy hitters; cell_width.h). Narrow cells spill into wider overflow
-  /// levels on saturation, so every estimate is unchanged — this knob
-  /// trades nothing but cache footprint. 32-bit cells are a safe default
+  /// Physical cell width of the counter-array sketches (the F2 CountSketch
+  /// and the heavy hitters; cell_width.h). Narrow cells spill into wider
+  /// overflow levels on saturation, so every estimate is unchanged — this
+  /// knob trades nothing but cache footprint. 32-bit cells are a safe default
   /// for windowed deployments; 64-bit is the conservative historical
   /// layout.
   CellWidth cell_width = CellWidth::k64;
@@ -157,7 +164,7 @@ class Monitor {
   /// Each element carries `weight` units (>= 1). Weights above 1 are the
   /// sampled-ingest form: the unbiased round(1/p) correction for survivors
   /// of Bernoulli(p) admission (core/overload.h). Every frequency-weighted
-  /// summary (F2 level sets, entropy MLE, heavy hitters) absorbs the
+  /// summary (F2 CountSketch, entropy MLE, heavy hitters) absorbs the
   /// weight through its linear add path; F0 sees the survivors unweighted
   /// (distinct-count state is a set — a weight cannot conjure the skipped
   /// identities, so under sampling F0 reports distinct *admitted* items).
@@ -250,7 +257,8 @@ class Monitor {
   /// raw_updates_ / sampled_length_ is the window's effective sample rate.
   count_t raw_updates_ = 0;
   std::optional<F0Estimator> f0_;
-  std::optional<FkEstimator> f2_;
+  /// CountSketch on L; Report() reads F2(P) from its row-norm F2(L).
+  std::optional<CountSketch> f2_;
   std::optional<EntropyEstimator> entropy_;
   std::optional<F1HeavyHitterEstimator> heavy_;
 };

@@ -45,9 +45,9 @@
 /// The controller is a plain single-threaded object; ShardedMonitor calls it
 /// from the producer thread only. Weighted survivors flow through the
 /// weight of Monitor::UpdatePrehashed(), which feeds every frequency-
-/// weighted summary (CountMin, CountSketch, level sets, entropy MLE) its
-/// existing weighted-add path and records the raw-survivor count that
-/// Health() needs to report the effective rate and widened error bounds.
+/// weighted summary (CountMin, CountSketch, entropy MLE) its existing
+/// weighted-add path and records the raw-survivor count that Health()
+/// needs to report the effective rate and widened error bounds.
 namespace substream {
 
 /// Tuning for the adaptive sampler. The master on/off switch lives in

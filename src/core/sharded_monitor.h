@@ -35,9 +35,8 @@
 /// column with unit-stride loads instead of gathering from an interleaved
 /// struct array. All occurrences of an item land on the same shard; linear
 /// sketches merge identically under any partition, but identity
-/// partitioning also keeps candidate-tracking summaries (heavy hitters,
-/// level-set candidate pools) accurate, since each shard sees the full
-/// local frequency of its items.
+/// partitioning also keeps the candidate-tracking heavy-hitter pool
+/// accurate, since each shard sees the full local frequency of its items.
 ///
 /// ## Shard groups (NUMA nodes)
 ///

@@ -13,9 +13,9 @@
 //     The planner sizes every summary through these.
 //
 // The constructor-side derivation chains (CountMinSketch's delta -> depth,
-// FkEstimator's delta -> level-set depth, ...) are also hoisted here, so a
-// planner that wants a particular physical geometry can invert through the
-// exact chain the constructors will re-derive.
+// the Monitor's delta -> F2 CountSketch depth, ...) are also hoisted here,
+// so a planner that wants a particular physical geometry can invert
+// through the exact chain the constructors will re-derive.
 //
 // This header sits below the sketch layer (standard library only), like
 // obs/health.h, so both can depend on it without new dependency edges.
@@ -138,8 +138,8 @@ inline int CountSketchMedianDepthFromDelta(double delta) {
   return clamped > kMaxCounterRows - 1 ? kMaxCounterRows - 1 : clamped;
 }
 
-/// FkEstimator sketch backend: delta -> per-level CountSketch rows
-/// (max(5, ceil(2 ln 1/delta)) forced odd).
+/// FkEstimator sketch backend and the Monitor's F2 CountSketch: delta ->
+/// CountSketch rows (max(5, ceil(2 ln 1/delta)) forced odd).
 inline int LevelSetDepthFromDelta(double delta) {
   const int rows = static_cast<int>(
                        std::ceil(2.0 * std::log(1.0 / delta))) |
@@ -148,46 +148,16 @@ inline int LevelSetDepthFromDelta(double delta) {
 }
 
 // ---------------------------------------------------------------------------
-// The default F2 width cap, derived instead of hard-coded.
+// Monitor defaults.
 // ---------------------------------------------------------------------------
 
-/// The per-monitor byte budget the historical defaults implicitly assumed;
-/// also the default PlanSpec budget.
+/// The default PlanSpec budget for one Monitor's summaries.
 inline constexpr std::size_t kDefaultMonitorBudgetBytes = std::size_t{16}
                                                           << 20;
 
-/// Largest power-of-two per-level CountSketch width whose level-set counter
-/// tables (levels x depth x width cells) fit `budget_bytes`. This is the
-/// budget-capped analytic width: the analytic width of Theorem 1 exceeds any
-/// practical budget at default accuracy, so the cap binds and *is* the
-/// planned width.
-constexpr std::uint64_t BudgetedF2Width(std::size_t budget_bytes, int levels,
-                                        int depth, int cell_bytes) {
-  std::uint64_t width = 2;
-  while ((width << 1) * static_cast<std::uint64_t>(levels) *
-             static_cast<std::uint64_t>(depth) *
-             static_cast<std::uint64_t>(cell_bytes) <=
-         budget_bytes) {
-    width <<= 1;
-  }
-  return width;
-}
-
-/// Default-monitor level-set geometry: universe 2^20 gives CeilLog2 = 20,
-/// so 21 level slots; delta 0.05 gives LevelSetDepthFromDelta = 7; 64-bit
-/// cells. plan_test pins these against the live derivation chain.
-inline constexpr int kDefaultF2Levels = 21;
-inline constexpr int kDefaultF2Depth = 7;
-
-/// MonitorConfig::max_f2_width's default. The historical magic constant
-/// 1 << 13 is exactly the budget-capped analytic width for the default
-/// geometry under the default budget.
-inline constexpr std::uint64_t kDefaultF2WidthCap =
-    BudgetedF2Width(kDefaultMonitorBudgetBytes, kDefaultF2Levels,
-                    kDefaultF2Depth, /*cell_bytes=*/8);
-static_assert(kDefaultF2WidthCap == (std::uint64_t{1} << 13),
-              "the derived default F2 width cap must reproduce the "
-              "historical 1 << 13 default byte-for-byte");
+/// MonitorConfig::max_f2_width's default: the cap on the one F2
+/// CountSketch's width.
+inline constexpr std::uint64_t kDefaultF2WidthCap = std::uint64_t{1} << 13;
 
 // ---------------------------------------------------------------------------
 // Sampled-ingest (NitroSketch mode) widening.

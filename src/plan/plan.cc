@@ -33,12 +33,6 @@ std::uint64_t RoundUpPow2(std::uint64_t v) {
   return r;
 }
 
-int CeilLog2(std::uint64_t x) {
-  int bits = 0;
-  while ((std::uint64_t{1} << bits) < x) ++bits;
-  return bits;
-}
-
 /// Theorem 6's remapping, as F1HeavyHitterEstimator derives it.
 double AlphaPrime(double alpha, double hh_epsilon) {
   return (1.0 - 0.4 * hh_epsilon) * alpha;
@@ -54,7 +48,6 @@ std::uint64_t HhWidthFromEpsilon(double alpha, double hh_epsilon) {
 /// Structural geometry shared by every candidate plan at one cell width.
 struct Workload {
   std::uint64_t universe = 0;
-  int levels = 0;
   int cs_depth = 0;
   int hh_depth = 0;
   double n_samp = 0.0;   // expected sampled window length (0 = unknown)
@@ -77,25 +70,14 @@ std::size_t HhBytes(const Workload& w, std::uint64_t width,
 }
 
 std::size_t F2Bytes(const Workload& w, std::uint64_t width) {
-  // Table: levels x (depth x width cells + row seeds + per-level object
-  // overhead: sign hashes, row sums, map headers).
+  // One CountSketch: depth x width cells + row seeds, plus object overhead
+  // (sign hashes, row sums).
   std::size_t bytes =
-      static_cast<std::size_t>(w.levels) *
-      (static_cast<std::size_t>(w.cs_depth) * (width * w.cell_bytes + 8) +
-       768);
-  // Candidate/exact hash-map allowance: capacities are 4w and 2w entries
-  // per level, but residency is bounded by the per-level distinct count
-  // (geometric across levels, summing to <= 2 * F0(L)); 16 bytes is the
-  // tables' own per-entry accounting.
-  const double cap_entries = 6.0 * static_cast<double>(width) * w.levels;
-  const double f0_entries =
-      w.f0_samp > 0.0 ? 3.0 * w.f0_samp : cap_entries;
-  bytes += static_cast<std::size_t>(16.0 * std::min(cap_entries, f0_entries));
+      static_cast<std::size_t>(w.cs_depth) * (width * w.cell_bytes + 8) + 768;
   // Narrow cells may lazily allocate wider spill levels; the ladder only
   // narrows when expected counts fit the cell, so charge a 1/8 allowance.
   if (w.cell_bytes < 8) {
-    bytes += static_cast<std::size_t>(w.levels) *
-             static_cast<std::size_t>(w.cs_depth) * width * w.cell_bytes / 8;
+    bytes += static_cast<std::size_t>(w.cs_depth) * width * w.cell_bytes / 8;
   }
   return bytes;
 }
@@ -273,7 +255,6 @@ GeometryPlan SolveWithCells(const PlanInputs& in, const Workload& w) {
   plan.f0_use_hll = c.f0_use_hll;
   plan.kmv_k = in.enable_f0 ? c.kmv_k : 0;
   plan.hll_precision = in.enable_f0 ? c.hll_precision : 0;
-  plan.f2_levels = in.enable_f2 ? w.levels : 0;
   plan.f2_cs_depth = in.enable_f2 ? w.cs_depth : 0;
   plan.f2_width = in.enable_f2 ? c.f2_width : 0;
   plan.hh_depth = in.enable_heavy_hitters ? w.hh_depth : 0;
@@ -334,12 +315,11 @@ GeometryPlan SolvePlan(const PlanInputs& in) {
   Workload w;
   w.universe = in.universe < 2 ? 2 : in.universe;
   if (spec.f0_hint > 0.0) {
-    // The level count tracks the observed distinct count (4x slack, then
-    // a power of two — the same quantization the re-plan hysteresis uses).
+    // The universe tracks the observed distinct count (4x slack, then a
+    // power of two — the same quantization the re-plan hysteresis uses).
     w.universe = RoundUpPow2(static_cast<std::uint64_t>(
         std::max(1024.0, 4.0 * spec.f0_hint)));
   }
-  w.levels = CeilLog2(w.universe) + 1;
   w.cs_depth = LevelSetDepthFromDelta(monitor_delta);
   w.hh_depth = CountMinDepthFromDelta(monitor_delta / 4.0);
   w.n_samp = spec.n_hint > 0.0 ? spec.n_hint * in.p : 0.0;

@@ -10,8 +10,8 @@
 /// \file plan.h
 /// The accuracy-budget geometry planner: {byte budget, per-metric (eps,
 /// delta) targets} -> the geometry of every summary a Monitor holds
-/// (CountMin/CountSketch depth x width, level-set count and per-level
-/// width, KMV k / HLL precision, counter cell width).
+/// (CountMin/CountSketch depth x width, KMV k / HLL precision, counter
+/// cell width).
 ///
 /// The paper states its guarantees as accuracy targets that *imply*
 /// geometry; hand-picked depth/width/k constants state it backwards. A
@@ -57,8 +57,8 @@ struct PlanSpec {
 
   /// Observed-workload hints, in ORIGINAL-stream units (0 = unknown).
   /// WindowedMonitor re-planning feeds the closed window's report back in
-  /// through these; the solver uses them to size the level count, the
-  /// hash-map allowances of the level-set structure and the entropy
+  /// through these; the solver uses them to size the universe (whose
+  /// change is the re-plan signal), the counter cell width and the entropy
   /// reserve.
   double f0_hint = 0.0;  ///< expected distinct items per window
   double f2_hint = 0.0;  ///< expected second moment per window
@@ -75,10 +75,9 @@ struct GeometryPlan {
   std::size_t kmv_k = 0;
   int hll_precision = 0;
 
-  // F2 level-set geometry.
-  int f2_levels = 0;
+  // F2 CountSketch geometry.
   int f2_cs_depth = 0;
-  std::uint64_t f2_width = 0;  ///< per-level CountSketch width (the cap)
+  std::uint64_t f2_width = 0;  ///< CountSketch width (the cap)
 
   // Heavy-hitter CountMin geometry.
   int hh_depth = 0;

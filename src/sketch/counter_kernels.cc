@@ -21,8 +21,9 @@
 ///
 /// Bit-identity discipline: every vector path computes the exact integer
 /// functions of the scalar reference — RemixHash, FastRange64 (high half of
-/// a full 64x64 product) and the degree-3 polynomial over GF(2^61 - 1) with
-/// PolynomialHash's reduction sequence — with tails delegated to the scalar
+/// a full 64x64 product) and the canonical residue of the degree-3
+/// polynomial over GF(2^61 - 1), whose Horner steps the vector kernels
+/// reduce lazily and canonicalize once — with tails delegated to the scalar
 /// kernels. There is no floating point and no order-sensitive arithmetic in
 /// the kernels themselves, so serialized sketch state cannot differ across
 /// dispatch levels.
@@ -150,45 +151,31 @@ SUBSTREAM_TGT_AVX2 __m256i Mod61Avx2(__m256i x) {
   return CondSubPAvx2(r);
 }
 
-/// ModMersenne of lane-wise 128-bit values given as (hi, lo) halves, with
-/// hi < 2^58 (guaranteed: products of values <= p). Matches the scalar
-/// reduction bit for bit.
-SUBSTREAM_TGT_AVX2 __m256i ModMersenne128Avx2(__m256i hi, __m256i lo) {
-  const __m256i p = _mm256_set1_epi64x(static_cast<long long>(kP));
-  const __m256i top = _mm256_or_si256(_mm256_slli_epi64(hi, 3),
-                                      _mm256_srli_epi64(lo, 61));
-  const __m256i r = _mm256_add_epi64(_mm256_and_si256(lo, p), top);
-  return CondSubPAvx2(r);
-}
-
-/// One Horner step: (hi, lo) = acc * xm + c, reduced to the next acc.
-/// acc, xm <= p so the product fits 122 bits; the 64-bit add of c carries
-/// into hi via an unsigned-compare borrow (sign-bias trick).
+/// One lazy Horner step: acc * xm + c (mod p) for acc < 2^62, xm and
+/// c < p, with b_hi = xm >> 32. The 122-bit product is folded straight
+/// into Mersenne form (2^64 = 8 and 2^61 = 1 mod p) and the result lies in
+/// [0, 2^61 + 4), not canonically reduced: the sign kernel canonicalizes
+/// once, after the last step, so the parity matches the scalar reference.
 SUBSTREAM_TGT_AVX2 __m256i HornerStepAvx2(__m256i acc, __m256i xm,
-                                          __m256i c) {
-  const __m256i lo32 = _mm256_set1_epi64x(0xffffffffLL);
+                                          __m256i b_hi, __m256i c) {
+  const __m256i p = _mm256_set1_epi64x(static_cast<long long>(kP));
+  const __m256i lo29 = _mm256_set1_epi64x((1LL << 29) - 1);
   const __m256i a_hi = _mm256_srli_epi64(acc, 32);
-  const __m256i b_hi = _mm256_srli_epi64(xm, 32);
-  const __m256i ll = _mm256_mul_epu32(acc, xm);
-  const __m256i lh = _mm256_mul_epu32(acc, b_hi);
-  const __m256i hl = _mm256_mul_epu32(a_hi, xm);
-  const __m256i hh = _mm256_mul_epu32(a_hi, b_hi);
-  const __m256i mid = _mm256_add_epi64(
-      _mm256_add_epi64(_mm256_srli_epi64(ll, 32), _mm256_and_si256(lh, lo32)),
-      _mm256_and_si256(hl, lo32));
-  __m256i lo = _mm256_or_si256(_mm256_and_si256(ll, lo32),
-                               _mm256_slli_epi64(mid, 32));
-  __m256i hi = _mm256_add_epi64(
-      _mm256_add_epi64(hh, _mm256_srli_epi64(lh, 32)),
-      _mm256_add_epi64(_mm256_srli_epi64(hl, 32), _mm256_srli_epi64(mid, 32)));
-  // 128-bit += c.
-  const __m256i bias = _mm256_set1_epi64x(
-      static_cast<long long>(0x8000000000000000ULL));
-  const __m256i lo2 = _mm256_add_epi64(lo, c);
-  const __m256i carry = _mm256_cmpgt_epi64(_mm256_xor_si256(c, bias),
-                                           _mm256_xor_si256(lo2, bias));
-  hi = _mm256_sub_epi64(hi, carry);  // carry mask is -1: subtract adds 1
-  return ModMersenne128Avx2(hi, lo2);
+  const __m256i ll = _mm256_mul_epu32(acc, xm);  // < 2^64
+  const __m256i mid = _mm256_add_epi64(_mm256_mul_epu32(acc, b_hi),
+                                       _mm256_mul_epu32(a_hi, xm));  // < 2^63
+  const __m256i hh = _mm256_mul_epu32(a_hi, b_hi);  // < 2^59
+  // hh 2^64 + mid 2^32 + ll = 8 hh + (mid >> 29) + (mid mod 2^29) 2^32
+  //                           + (ll >> 61) + (ll & p)   (mod p); < 2^64.
+  __m256i sum = _mm256_add_epi64(_mm256_slli_epi64(hh, 3),
+                                 _mm256_srli_epi64(mid, 29));
+  sum = _mm256_add_epi64(
+      sum, _mm256_slli_epi64(_mm256_and_si256(mid, lo29), 32));
+  sum = _mm256_add_epi64(sum, _mm256_srli_epi64(ll, 61));
+  sum = _mm256_add_epi64(sum, _mm256_and_si256(ll, p));
+  sum = _mm256_add_epi64(sum, c);
+  return _mm256_add_epi64(_mm256_and_si256(sum, p),
+                          _mm256_srli_epi64(sum, 61));
 }
 
 /// PolynomialHash::Sign parity convention: odd hash => +1, even => -1,
@@ -246,12 +233,13 @@ __attribute__((target("avx2"))) void SignRow4ColsAvx2(
   for (; i + 4 <= n; i += 4) {
     const __m256i xm = Mod61Avx2(
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(items + i)));
+    const __m256i b_hi = _mm256_srli_epi64(xm, 32);
     __m256i acc = c3;
-    acc = HornerStepAvx2(acc, xm, c2);
-    acc = HornerStepAvx2(acc, xm, c1);
-    acc = HornerStepAvx2(acc, xm, c0);
+    acc = HornerStepAvx2(acc, xm, b_hi, c2);
+    acc = HornerStepAvx2(acc, xm, b_hi, c1);
+    acc = HornerStepAvx2(acc, xm, b_hi, c0);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out_sign + i),
-                        Hash2SignAvx2(acc));
+                        Hash2SignAvx2(CondSubPAvx2(acc)));
   }
   _mm256_zeroupper();  // see "Upper state" above
   SignRow4ColsScalar(items + i, n - i, c, out_sign + i);
@@ -307,34 +295,25 @@ SUBSTREAM_TGT_AVX512 __m512i Mod61Avx512(__m512i x) {
       _mm512_add_epi64(_mm512_and_si512(x, p), _mm512_srli_epi64(x, 61)));
 }
 
-SUBSTREAM_TGT_AVX512 __m512i ModMersenne128Avx512(__m512i hi, __m512i lo) {
-  const __m512i p = _mm512_set1_epi64(static_cast<long long>(kP));
-  const __m512i top = _mm512_or_si512(_mm512_slli_epi64(hi, 3),
-                                      _mm512_srli_epi64(lo, 61));
-  return CondSubPAvx512(_mm512_add_epi64(_mm512_and_si512(lo, p), top));
-}
-
+/// HornerStepAvx2 on 8 lanes: same lazy fold, same [0, 2^61 + 4) output.
 SUBSTREAM_TGT_AVX512 __m512i HornerStepAvx512(__m512i acc, __m512i xm,
-                                              __m512i c) {
-  const __m512i lo32 = _mm512_set1_epi64(0xffffffffLL);
+                                              __m512i b_hi, __m512i c) {
+  const __m512i p = _mm512_set1_epi64(static_cast<long long>(kP));
+  const __m512i lo29 = _mm512_set1_epi64((1LL << 29) - 1);
   const __m512i a_hi = _mm512_srli_epi64(acc, 32);
-  const __m512i b_hi = _mm512_srli_epi64(xm, 32);
   const __m512i ll = _mm512_mul_epu32(acc, xm);
-  const __m512i lh = _mm512_mul_epu32(acc, b_hi);
-  const __m512i hl = _mm512_mul_epu32(a_hi, xm);
+  const __m512i mid = _mm512_add_epi64(_mm512_mul_epu32(acc, b_hi),
+                                       _mm512_mul_epu32(a_hi, xm));
   const __m512i hh = _mm512_mul_epu32(a_hi, b_hi);
-  const __m512i mid = _mm512_add_epi64(
-      _mm512_add_epi64(_mm512_srli_epi64(ll, 32), _mm512_and_si512(lh, lo32)),
-      _mm512_and_si512(hl, lo32));
-  const __m512i lo = _mm512_or_si512(_mm512_and_si512(ll, lo32),
-                                     _mm512_slli_epi64(mid, 32));
-  __m512i hi = _mm512_add_epi64(
-      _mm512_add_epi64(hh, _mm512_srli_epi64(lh, 32)),
-      _mm512_add_epi64(_mm512_srli_epi64(hl, 32), _mm512_srli_epi64(mid, 32)));
-  const __m512i lo2 = _mm512_add_epi64(lo, c);
-  const __mmask8 carry = _mm512_cmplt_epu64_mask(lo2, c);
-  hi = _mm512_mask_add_epi64(hi, carry, hi, _mm512_set1_epi64(1));
-  return ModMersenne128Avx512(hi, lo2);
+  __m512i sum = _mm512_add_epi64(_mm512_slli_epi64(hh, 3),
+                                 _mm512_srli_epi64(mid, 29));
+  sum = _mm512_add_epi64(
+      sum, _mm512_slli_epi64(_mm512_and_si512(mid, lo29), 32));
+  sum = _mm512_add_epi64(sum, _mm512_srli_epi64(ll, 61));
+  sum = _mm512_add_epi64(sum, _mm512_and_si512(ll, p));
+  sum = _mm512_add_epi64(sum, c);
+  return _mm512_add_epi64(_mm512_and_si512(sum, p),
+                          _mm512_srli_epi64(sum, 61));
 }
 
 /// Same parity convention as Hash2SignAvx2: sign = 2 * (h & 1) - 1.
@@ -386,12 +365,13 @@ __attribute__((target("avx512f,avx512dq"))) void SignRow4ColsAvx512(
   for (; i + 8 <= n; i += 8) {
     const __m512i xm = Mod61Avx512(
         _mm512_loadu_si512(reinterpret_cast<const void*>(items + i)));
+    const __m512i b_hi = _mm512_srli_epi64(xm, 32);
     __m512i acc = c3;
-    acc = HornerStepAvx512(acc, xm, c2);
-    acc = HornerStepAvx512(acc, xm, c1);
-    acc = HornerStepAvx512(acc, xm, c0);
+    acc = HornerStepAvx512(acc, xm, b_hi, c2);
+    acc = HornerStepAvx512(acc, xm, b_hi, c1);
+    acc = HornerStepAvx512(acc, xm, b_hi, c0);
     _mm512_storeu_si512(reinterpret_cast<void*>(out_sign + i),
-                        Hash2SignAvx512(acc));
+                        Hash2SignAvx512(CondSubPAvx512(acc)));
   }
   _mm256_zeroupper();  // see "Upper state" above
   SignRow4ColsScalar(items + i, n - i, c, out_sign + i);

@@ -31,8 +31,8 @@ CountSketch::CountSketch(int depth, std::uint64_t width, std::uint64_t seed,
 // dispatch level: a per-item sign/bucket panel returns its lanes through a
 // wide store the caller immediately re-reads narrowly — a failed
 // store-to-load forward per row, measured as a 4x per-item regression on
-// AVX2 at depth 5. The vector kernels engage on UpdatePrehashed and the
-// column UpdateAndEstimate, where derivations amortize across micro-blocks.
+// AVX2 at depth 5. The vector kernels engage on UpdatePrehashed, where
+// derivations amortize across micro-blocks.
 
 void CountSketch::Update(const PrehashedItem& ph, std::int64_t count) {
   total_ += count;
@@ -88,78 +88,6 @@ double CountSketch::UpdateAndEstimate(const PrehashedItem& ph,
         static_cast<double>(sign) * static_cast<double>(cell + delta);
   }
   return MedianInPlace(row_estimates, static_cast<std::size_t>(depth_));
-}
-
-void CountSketch::UpdateAndEstimate(PrehashedColumns cols, std::size_t n,
-                                    std::int64_t count, double* estimates,
-                                    double* f2) {
-  constexpr std::size_t kMicro = kernels::kMicroBlockItems;
-  const kernels::KernelTable& k = kernels::Dispatch();
-  const bool k64 = table_.cell_width() == CellWidth::k64;
-  const auto d = static_cast<std::size_t>(depth_);
-  // Per-row results of one micro-block, item-major (item i's rows at
-  // [i * d, i * d + d)) so both medians run in place.
-  double row_est[CounterTable<std::int64_t>::kMaxDepth * kMicro];
-  double row_f2[CounterTable<std::int64_t>::kMaxDepth * kMicro];
-  std::uint64_t idx[2][kMicro];
-  std::int64_t sgn[2][kMicro];
-  for (std::size_t base = 0; base < n; base += kMicro) {
-    const std::size_t m = std::min(kMicro, n - base);
-    const std::uint64_t* const hashes = cols.hashes + base;
-    const std::uint64_t* const items = cols.items + base;
-    auto derive = [&](int r, int slot) {
-      k.bucket_row_cols(hashes, m, table_.row_seed(r), width_, idx[slot]);
-      k.sign_row4_cols(items, m,
-                       sign_hashes_[static_cast<std::size_t>(r)]
-                           .coefficients()
-                           .data(),
-                       sgn[slot]);
-    };
-    // Row r + 1 is derived before row r replays, so the replay never reads
-    // a buffer whose wide stores are still inside the forwarding window.
-    derive(0, 0);
-    for (int r = 0; r < depth_; ++r) {
-      const int slot = r & 1;
-      if (r + 1 < depth_) derive(r + 1, slot ^ 1);
-      const auto rr = static_cast<std::size_t>(r);
-      double sumsq = row_sumsq_[rr];
-      if (k64) {
-        std::int64_t* const row = table_.Row(r);
-        for (std::size_t i = 0; i < m; ++i) {
-          std::int64_t& cell = row[idx[slot][i]];
-          const std::int64_t sign = sgn[slot][i];
-          const std::int64_t delta = sign * count;
-          sumsq += static_cast<double>(2 * cell * delta + delta * delta);
-          cell += delta;
-          row_est[i * d + rr] =
-              static_cast<double>(sign) * static_cast<double>(cell);
-          row_f2[i * d + rr] = sumsq;
-        }
-      } else {
-        // Same logical arithmetic as the per-item narrow path, including
-        // the estimate from the unclamped sum.
-        const std::uint64_t row_base = static_cast<std::uint64_t>(r) * width_;
-        for (std::size_t i = 0; i < m; ++i) {
-          const std::size_t flat =
-              static_cast<std::size_t>(row_base + idx[slot][i]);
-          const std::int64_t cell = table_.AtFlat(flat);
-          const std::int64_t sign = sgn[slot][i];
-          const std::int64_t delta = sign * count;
-          sumsq += static_cast<double>(2 * cell * delta + delta * delta);
-          table_.AddAtFlat(flat, delta);
-          row_est[i * d + rr] =
-              static_cast<double>(sign) * static_cast<double>(cell + delta);
-          row_f2[i * d + rr] = sumsq;
-        }
-      }
-      row_sumsq_[rr] = sumsq;
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      estimates[base + i] = MedianInPlace(row_est + i * d, d);
-      f2[base + i] = MedianInPlace(row_f2 + i * d, d);
-    }
-  }
-  total_ += count * static_cast<std::int64_t>(n);
 }
 
 void CountSketch::UpdatePrehashed(PrehashedColumns cols, std::size_t n) {

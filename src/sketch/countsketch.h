@@ -17,9 +17,11 @@
 /// \file countsketch.h
 /// CountSketch (Charikar, Chen, Farach-Colton [8]).
 ///
-/// Used in two places: Theorem 7 runs CountSketch on L to find F2-heavy
-/// hitters of P, and the Indyk–Woodruff level-set machinery (Theorem 2) runs
-/// one CountSketch per subsampling level to recover level-set members.
+/// Used in three places: the Monitor's F2 is one CountSketch on L, read
+/// through its row-norm F2 estimate; Theorem 7 runs CountSketch on L to
+/// find F2-heavy hitters of P; and the Indyk–Woodruff level-set machinery
+/// (Theorem 2) runs one CountSketch per subsampling level to recover
+/// level-set members.
 ///
 /// Buckets come from the shared prehash stage through a CounterTable
 /// (counter_table.h); signs keep their per-row 4-wise-independent
@@ -27,8 +29,7 @@
 /// while bucket selection only needs uniformity. On AVX2/AVX-512 dispatch
 /// levels (sketch/counter_kernels.h) the batched UpdatePrehashed path runs
 /// both derivations lane-parallel over item micro-blocks, bit-identically
-/// to the scalar PolynomialHash path, as does the column fused
-/// add + estimate the level sets use; per-item operations stay scalar at
+/// to the scalar PolynomialHash path; per-item operations stay scalar at
 /// every level (a per-item lanes-across-rows panel loses to store-to-load
 /// forwarding stalls at real depths).
 
@@ -60,17 +61,6 @@ class CountSketch {
   /// derivation per row serve both. Scalar at every dispatch level; the
   /// per-item level-set Update is its caller.
   double UpdateAndEstimate(const PrehashedItem& ph, std::int64_t count);
-
-  /// Column form of the fused add + estimate: adds `count` for each of the
-  /// `n` items in stream order and writes item i's post-add point estimate
-  /// to `estimates[i]` and the post-add EstimateF2() to `f2[i]` — the
-  /// values n per-item UpdateAndEstimate + EstimateF2 calls return, with
-  /// byte-identical final state. Buckets and signs come from the SIMD row
-  /// kernels per micro-block; the adds replay row by row in stream order,
-  /// so every row norm accumulates in the per-item FP order. The batched
-  /// level-set ingest calls this once per depth per chunk.
-  void UpdateAndEstimate(PrehashedColumns cols, std::size_t n,
-                         std::int64_t count, double* estimates, double* f2);
 
   /// Adds `n` already-prehashed elements (each with count 1), row-major and
   /// cache-blocked: per row the counter pointer, row seed and sign hash are
@@ -140,7 +130,7 @@ class CountSketch {
   CounterTable<std::int64_t> table_;
   // Running sum of squared counters per row, maintained incrementally so
   // EstimateF2() costs O(depth) instead of O(depth * width). The level-set
-  // machinery reads it after every update.
+  // machinery reads it after every update, the Monitor at every Report().
   std::vector<double> row_sumsq_;
   std::vector<PolynomialHash> sign_hashes_;
   std::int64_t total_ = 0;

@@ -96,80 +96,30 @@ void IndykWoodruffEstimator::Update(const PrehashedItem& ph, count_t count) {
     // with one bucket/sign derivation per row instead of two.
     const double estimate =
         slot.sketch.UpdateAndEstimate(ph, static_cast<std::int64_t>(count));
-    RecordAdd(slot, item, count, estimate, slot.sketch.EstimateF2());
-  }
-}
-
-void IndykWoodruffEstimator::RecordAdd(DepthSlot& slot, item_t item,
-                                       count_t count, double estimate,
-                                       double f2) {
-  if (slot.exact_valid) {
-    slot.exact[item] += count;
-    if (slot.exact.size() > exact_capacity_) {
-      slot.exact.clear();
-      slot.exact_valid = false;
+    if (slot.exact_valid) {
+      slot.exact[item] += count;
+      if (slot.exact.size() > exact_capacity_) {
+        slot.exact.clear();
+        slot.exact_valid = false;
+      }
     }
-  }
-  // Only items that currently clear (half of) the recoverability
-  // threshold, and whose estimate reaches one occurrence, enter the
-  // candidate pool; this keeps insertions rare and the pool populated with
-  // genuinely heavy items.
-  const double threshold_sq = 0.5 * params_.heavy_factor * f2 /
-                              static_cast<double>(params_.cs_width);
-  if (estimate * estimate >= threshold_sq && estimate >= 1.0) {
-    slot.candidates.Offer(item, estimate);
+    // Only items that currently clear (half of) the recoverability
+    // threshold, and whose estimate reaches one occurrence, enter the
+    // candidate pool; this keeps insertions rare and the pool populated
+    // with genuinely heavy items.
+    const double threshold_sq = 0.5 * params_.heavy_factor *
+                                slot.sketch.EstimateF2() /
+                                static_cast<double>(params_.cs_width);
+    if (estimate * estimate >= threshold_sq && estimate >= 1.0) {
+      slot.candidates.Offer(item, estimate);
+    }
   }
 }
 
 void IndykWoodruffEstimator::UpdatePrehashed(PrehashedColumns cols,
                                              std::size_t n, count_t weight) {
   SUBSTREAM_CHECK(weight >= 1);
-  for (std::size_t base = 0; base < n; base += kPrehashChunkItems) {
-    UpdateChunk(PrehashedColumns{cols.items + base, cols.hashes + base},
-                std::min(kPrehashChunkItems, n - base), weight);
-  }
-}
-
-void IndykWoodruffEstimator::UpdateChunk(PrehashedColumns cols, std::size_t n,
-                                         count_t count) {
-  if (n == 1) {  // a lone item (Monitor::Update) skips the kernel set-up
-    Update(cols.At(0), count);
-    return;
-  }
-  total_ += count * n;
-  std::uint8_t depth[kPrehashChunkItems];
-  for (std::size_t i = 0; i < n; ++i) {
-    depth[i] = static_cast<std::uint8_t>(DepthOf(cols.items[i]));
-  }
-  // Nested sub-columns, filtered in place: depth t keeps the items of
-  // depth t - 1 whose depth is >= t, in stream order.
-  std::uint64_t sub_items[kPrehashChunkItems];
-  std::uint64_t sub_hashes[kPrehashChunkItems];
-  double estimates[kPrehashChunkItems];
-  double f2[kPrehashChunkItems];
-  PrehashedColumns sub = cols;
-  std::size_t m = n;
-  for (int t = 0; t <= params_.max_depth; ++t) {
-    if (t > 0) {
-      std::size_t kept = 0;
-      for (std::size_t i = 0; i < m; ++i) {
-        if (depth[i] < t) continue;
-        depth[kept] = depth[i];
-        sub_items[kept] = sub.items[i];
-        sub_hashes[kept] = sub.hashes[i];
-        ++kept;
-      }
-      sub = PrehashedColumns{sub_items, sub_hashes};
-      m = kept;
-    }
-    if (m == 0) break;
-    DepthSlot& slot = depths_[static_cast<std::size_t>(t)];
-    slot.sketch.UpdateAndEstimate(sub, m, static_cast<std::int64_t>(count),
-                                  estimates, f2);
-    for (std::size_t i = 0; i < m; ++i) {
-      RecordAdd(slot, sub.items[i], count, estimates[i], f2[i]);
-    }
-  }
+  for (std::size_t i = 0; i < n; ++i) Update(cols.At(i), weight);
 }
 
 void IndykWoodruffEstimator::Reset() {

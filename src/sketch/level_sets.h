@@ -97,20 +97,12 @@ class IndykWoodruffEstimator {
   /// CountSketch adds are linear, exact maps add `count`, candidate
   /// re-estimation sees the final estimate). This is the sampled-ingest
   /// (NitroSketch-mode) entry: survivors of Bernoulli(p) admission arrive
-  /// with the unbiased correction weight round(1/p). This per-item path is
-  /// the reference the column path below is pinned against.
+  /// with the unbiased correction weight round(1/p).
   void Update(const PrehashedItem& ph, count_t count);
 
-  /// Column ingest, each item carrying `weight` units; the resulting state
-  /// (counters, row norms, exact maps, candidate pools) is byte-identical
-  /// to n per-item Update(cols.At(i), weight) calls. Per chunk of up to
-  /// kPrehashChunkItems items the depth column is computed once and
-  /// stable-filtered into nested per-depth sub-columns (depth t holds the
-  /// items of depth >= t, in stream order); each depth then runs one
-  /// column CountSketch::UpdateAndEstimate and replays the exact-map adds
-  /// and candidate tracking in stream order from the per-item estimates it
-  /// returns. Depth slots share no state, so the depth-major order inside
-  /// a chunk is unobservable.
+  /// Feeds `n` already-prehashed elements, each carrying `weight` units:
+  /// a loop of Update(cols.At(i), weight). Candidate tracking reads every
+  /// depth's estimate right after its add, so the loop is per item.
   void UpdatePrehashed(PrehashedColumns cols, std::size_t n,
                        count_t weight = 1);
 
@@ -193,13 +185,6 @@ class IndykWoodruffEstimator {
   count_t total_ = 0;
 
   int DepthOf(item_t item) const;
-  /// One chunk (n <= kPrehashChunkItems) of the column path.
-  void UpdateChunk(PrehashedColumns cols, std::size_t n, count_t count);
-  /// The per-depth step after the sketch add: exact-map add, then
-  /// candidate tracking against 0.5 * heavy_factor * f2 / cs_width, where
-  /// `estimate` and `f2` are the sketch's post-add readings.
-  void RecordAdd(DepthSlot& slot, item_t item, count_t count, double estimate,
-                 double f2);
   /// Representative frequency of a level given its lower boundary.
   double LevelMidValue(double lower_boundary) const;
 };

@@ -200,10 +200,11 @@ struct MergedMonitorDigests {
 };
 
 // Six shard monitors, each fed its own wide Zipf stream. The F2 width cap
-// of 16 gives per-depth candidate pools of 64, which fill and evict while
-// the shards merge; the CountMin heavy-hitter pool (capacity 194) fills
-// and evicts during the decayed merges. The smallest normal double is the
-// clamp WindowedMonitor::ReportDecayed applies to underflowing weights.
+// of 16 gives a 7 x 16 CountSketch, so every F2 cell adds many keys and
+// its row norms are recomputed on each merge; the CountMin heavy-hitter
+// pool (capacity 194) fills and evicts during the decayed merges. The
+// smallest normal double is the clamp WindowedMonitor::ReportDecayed
+// applies to underflowing weights.
 MergedMonitorDigests MonitorMergeDigests(CellWidth cell_width) {
   MonitorConfig config;
   config.p = 1.0;
@@ -235,14 +236,14 @@ MergedMonitorDigests MonitorMergeDigests(CellWidth cell_width) {
 // libstdc++'s hash table.
 TEST(MergedBytesTest, MonitorShardAndDecayedMergesPinned64) {
   const MergedMonitorDigests d = MonitorMergeDigests(CellWidth::k64);
-  EXPECT_EQ(d.three_way, 0xfebc775ab93a266bULL);
-  EXPECT_EQ(d.decayed, 0x755dd2edb9156f93ULL);
+  EXPECT_EQ(d.three_way, 0x149b101274ed086bULL);
+  EXPECT_EQ(d.decayed, 0xb989f3ca5caf42b2ULL);
 }
 
 TEST(MergedBytesTest, MonitorShardAndDecayedMergesPinned8) {
   const MergedMonitorDigests d = MonitorMergeDigests(CellWidth::k8);
-  EXPECT_EQ(d.three_way, 0x61a4811046a6dd5bULL);
-  EXPECT_EQ(d.decayed, 0x43cb0752d52b4c63ULL);
+  EXPECT_EQ(d.three_way, 0xf0b7647d1202867aULL);
+  EXPECT_EQ(d.decayed, 0xeb3e689c9256b2c0ULL);
 }
 
 // The CountSketch heavy-hitter pool is not part of a Monitor; pin its

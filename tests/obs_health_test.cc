@@ -99,7 +99,7 @@ TEST(MonitorHealthTest, PinnedStreamHandComputedReport) {
 
   const obs::SummaryHealth* f2 = FindSummary(report, "f2");
   ASSERT_NE(f2, nullptr);
-  EXPECT_EQ(f2->kind, "countsketch_levels");
+  EXPECT_EQ(f2->kind, "countsketch");
   EXPECT_GT(f2->nonzero_cells, 0u);
   EXPECT_DOUBLE_EQ(f2->epsilon, obs::CountSketchEpsilon(f2->width));
   EXPECT_DOUBLE_EQ(f2->delta, obs::CountSketchDelta(f2->depth));

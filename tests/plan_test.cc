@@ -58,29 +58,11 @@ TEST(AccuracyFormulasTest, HllRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// The derived default F2 width cap (satellite: the 1 << 13 magic constant
-// is now the budget-capped analytic width, pinned through the live chain).
+// The default F2 width cap.
 // ---------------------------------------------------------------------------
 
 TEST(DefaultWidthCapTest, ReproducesHistoricalConstant) {
   EXPECT_EQ(kDefaultF2WidthCap, std::uint64_t{1} << 13);
-}
-
-TEST(DefaultWidthCapTest, DerivationChainInputsAreLive) {
-  // 21 level slots: CeilLog2(2^20) + 1 for the default universe.
-  int bits = 0;
-  while ((std::uint64_t{1} << bits) < (std::uint64_t{1} << 20)) ++bits;
-  EXPECT_EQ(kDefaultF2Levels, bits + 1);
-  // Depth 7: the level-set depth chain at the default delta.
-  EXPECT_EQ(kDefaultF2Depth, LevelSetDepthFromDelta(0.05));
-  // And the cap is exactly what the constexpr budget fit computes.
-  EXPECT_EQ(kDefaultF2WidthCap,
-            BudgetedF2Width(kDefaultMonitorBudgetBytes, kDefaultF2Levels,
-                            kDefaultF2Depth, 8));
-  // One more width would blow the budget (the cap is the largest fit).
-  EXPECT_GT((kDefaultF2WidthCap * 2) * std::uint64_t{kDefaultF2Levels} *
-                kDefaultF2Depth * 8,
-            kDefaultMonitorBudgetBytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -99,7 +81,6 @@ void ExpectPlansEqual(const GeometryPlan& a, const GeometryPlan& b) {
   EXPECT_EQ(a.f0_use_hll, b.f0_use_hll);
   EXPECT_EQ(a.kmv_k, b.kmv_k);
   EXPECT_EQ(a.hll_precision, b.hll_precision);
-  EXPECT_EQ(a.f2_levels, b.f2_levels);
   EXPECT_EQ(a.f2_cs_depth, b.f2_cs_depth);
   EXPECT_EQ(a.f2_width, b.f2_width);
   EXPECT_EQ(a.hh_depth, b.hh_depth);
@@ -199,13 +180,12 @@ TEST(SolvePlanTest, BiggerBudgetBuysMonotonicallyFinerBestEffortGeometry) {
   }
 }
 
-TEST(SolvePlanTest, F0HintSizesTheUniverseAndLevelCount) {
+TEST(SolvePlanTest, F0HintSizesTheUniverse) {
   PlanInputs in = BaseInputs();
   in.spec.budget_bytes = 4 << 20;
-  in.spec.f0_hint = 3000;  // 4x slack -> 12000 -> pow2 16384 -> 15 levels
+  in.spec.f0_hint = 3000;  // 4x slack -> 12000 -> pow2 16384
   const GeometryPlan plan = SolvePlan(in);
   EXPECT_EQ(plan.universe, 16384u);
-  EXPECT_EQ(plan.f2_levels, 15);
 }
 
 TEST(SolvePlanTest, DeltaChainLandsLevelSetDepthUnderTheTarget) {

@@ -5,6 +5,7 @@
 /// UBSan CI job runs this file with sanitizers enabled, so an out-of-bounds
 /// read or a corrupted-length allocation fails the build.
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -412,6 +413,62 @@ TEST(SerdeCorruptTest, Monitor) {
   Monitor monitor(config, 27);
   FeedAll(monitor);
   RunAll(MakeDecoder<Monitor>(), Encode(monitor), 18);
+}
+
+TEST(SerdeCorruptTest, MonitorWithRetiredFkF2RecordIsRejected) {
+  // A Monitor's nested F2 record used to be an FkEstimator (level sets);
+  // it is now a CountSketch. The nested type tag tells the two layouts
+  // apart, so a record carrying the retired one decodes to nullopt.
+  MonitorConfig config;
+  config.p = 0.5;
+  config.enable_f0 = false;
+  config.enable_entropy = false;
+  config.enable_heavy_hitters = false;
+  Monitor monitor(config, 27);
+  FeedAll(monitor);
+  const Bytes live = Encode(monitor);
+
+  // The monitor header, field by field as Monitor::Serialize writes it.
+  const MonitorConfig& c = monitor.config();
+  const MonitorReport report = monitor.Report();
+  serde::Writer header;
+  header.Record(serde::TypeTag::kMonitor);
+  header.F64(c.p);
+  header.Varint(c.universe);
+  header.F64(c.n_hint);
+  header.Bool(c.enable_f0);
+  header.Bool(c.enable_f2);
+  header.Bool(c.enable_entropy);
+  header.Bool(c.enable_heavy_hitters);
+  header.F64(c.hh_alpha);
+  header.F64(c.hh_epsilon);
+  header.F64(c.epsilon);
+  header.F64(c.delta);
+  header.Varint(c.max_f2_width);
+  header.U8(static_cast<std::uint8_t>(c.cell_width));
+  header.U64(monitor.seed());
+  header.Varint(report.sampled_length);
+  header.Varint(report.raw_updates);
+  Bytes retired = header.Take();
+  ASSERT_LT(retired.size(), live.size());
+  ASSERT_TRUE(std::equal(retired.begin(), retired.end(), live.begin()))
+      << "the hand-written header no longer matches Monitor::Serialize";
+  EXPECT_EQ(live[retired.size()],
+            static_cast<std::uint8_t>(serde::TypeTag::kCountSketch));
+
+  FkParams params;
+  params.k = 2;
+  params.p = c.p;
+  params.epsilon = c.epsilon;
+  params.delta = c.delta;
+  params.universe = c.universe;
+  params.max_width = c.max_f2_width;
+  FkEstimator level_sets(params, monitor.seed());
+  FeedAll(level_sets);
+  const Bytes nested = Encode(level_sets);
+  retired.insert(retired.end(), nested.begin(), nested.end());
+  EXPECT_FALSE(MakeDecoder<Monitor>()(retired));
+  EXPECT_TRUE(MakeDecoder<Monitor>()(live));
 }
 
 TEST(SerdeCorruptTest, WrongTypeTagIsRejected) {

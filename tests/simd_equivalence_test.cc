@@ -329,6 +329,40 @@ TEST(SimdEquivalenceTest, CountSketchFusedUpdateAndEstimate) {
   }
 }
 
+TEST(SimdEquivalenceTest, SignKernelOnFullRangeItems) {
+  // The stream tests draw small item ids, whose upper 32 bits are zero.
+  // The vector sign kernels reduce the polynomial lazily and canonicalize
+  // once, so pin them against PolynomialHash::Sign on full-range 64-bit
+  // items, field-boundary values included, at every level.
+  std::vector<std::uint64_t> items = {0,
+                                      1,
+                                      PolynomialHash::kPrime - 1,
+                                      PolynomialHash::kPrime,
+                                      PolynomialHash::kPrime + 1,
+                                      std::uint64_t{1} << 61,
+                                      2 * PolynomialHash::kPrime,
+                                      ~std::uint64_t{0} - 1,
+                                      ~std::uint64_t{0}};
+  for (std::uint64_t i = 0; items.size() < 4099; ++i) {
+    items.push_back(Mix64(i));
+  }
+  std::vector<std::int64_t> signs(items.size());
+  DispatchGuard guard;
+  for (std::uint64_t seed = 0; seed < 16; ++seed) {
+    const PolynomialHash hash(4, seed);
+    for (simd::Isa isa : kernels::AvailableIsas()) {
+      ASSERT_TRUE(kernels::SetActive(isa));
+      kernels::Dispatch().sign_row4_cols(items.data(), items.size(),
+                                         hash.coefficients().data(),
+                                         signs.data());
+      for (std::size_t i = 0; i < items.size(); ++i) {
+        ASSERT_EQ(signs[i], hash.Sign(items[i]))
+            << simd::Name(isa) << " seed " << seed << " item " << items[i];
+      }
+    }
+  }
+}
+
 TEST(SimdEquivalenceTest, CountSketchPointEstimates) {
   // Read-only path: Estimate() is scalar at every level; its results must
   // not depend on the forced level (the state it reads was built by the
@@ -466,9 +500,9 @@ TEST(SimdEquivalenceTest, MonitorFullPipeline) {
 }
 
 TEST(SimdEquivalenceTest, MonitorCompactCells) {
-  // The facade's cell-width knob threads down to the F2 level sets and the
-  // heavy-hitter CountMin; the full pipeline must stay dispatch-invariant
-  // with compact cells.
+  // The facade's cell-width knob threads down to the F2 CountSketch and
+  // the heavy-hitter CountMin; the full pipeline must stay
+  // dispatch-invariant with compact cells.
   ExpectDispatchEquivalence([] {
     MonitorConfig config;
     config.p = 0.25;
